@@ -1,0 +1,127 @@
+package rader_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/cilk"
+	"repro/internal/corpus"
+	"repro/internal/mem"
+	"repro/internal/progs"
+	"repro/internal/rader"
+	"repro/internal/report"
+	"repro/internal/sched"
+	"repro/internal/specgen"
+)
+
+var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/report_digests.golden")
+
+// reportDigestRuns enumerates the report-parity matrix, one line per run,
+// "name sha256 bytes" over the run's JSON document:
+//   - every corpus entry under each race-reporting detector at the two
+//     canonical schedules (json.Marshal of the core.Report);
+//   - every benchmark at small scale under SP+ and SP-bags at the three
+//     Figure 7 schedules (likewise);
+//   - the report.FromCoverage document of a 1-worker §7 sweep of every
+//     benchmark at small scale and of ReducerBench(40).
+//
+// The file is an external test package because internal/report imports
+// rader.
+func reportDigestRuns(t *testing.T) []string {
+	t.Helper()
+	var lines []string
+	add := func(name string, doc []byte, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(doc)
+		lines = append(lines, fmt.Sprintf("%s %s %d", name, hex.EncodeToString(sum[:]), len(doc)))
+	}
+	digest := func(name string, prog func(*cilk.Ctx), det rader.DetectorName, spec cilk.StealSpec) {
+		out, err := rader.Run(prog, rader.Config{Detector: det, Spec: spec})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		doc, err := json.Marshal(out.Report)
+		add(name, doc, err)
+	}
+	for _, e := range corpus.All() {
+		for _, det := range []rader.DetectorName{rader.PeerSet, rader.SPBags, rader.SPPlus, rader.Depa} {
+			for _, s := range []struct {
+				name string
+				spec cilk.StealSpec
+			}{{"nosteals", cilk.NoSteals{}}, {"stealall", cilk.StealAll{}}} {
+				digest(fmt.Sprintf("corpus/%s/%s/%s", e.Name, det, s.name), e.Build(mem.NewAllocator()), det, s.spec)
+			}
+		}
+	}
+	for _, app := range apps.All() {
+		k := specgen.Measure(app.Build(mem.NewAllocator(), apps.Small).Prog).MaxSyncBlock
+		for _, det := range []rader.DetectorName{rader.SPPlus, rader.SPBags} {
+			for _, s := range []struct {
+				name string
+				spec cilk.StealSpec
+			}{
+				{"nosteals", nil},
+				{fmt.Sprintf("bydepth%d", max(1, k/2)), sched.ByDepth{D: max(1, k/2)}},
+				{fmt.Sprintf("random1k%d", k), sched.Random{Seed: 1, K: k}},
+			} {
+				ins := app.Build(mem.NewAllocator(), apps.Small)
+				digest(fmt.Sprintf("apps/%s/%s/%s", app.Name, det, s.name), ins.Prog, det, s.spec)
+			}
+		}
+	}
+	sweep := func(name string, factory func() func(*cilk.Ctx)) {
+		doc, err := report.FromCoverage(rader.Sweep(factory, rader.SweepOptions{Workers: 1})).Marshal()
+		add("sweep/"+name, doc, err)
+	}
+	for _, app := range apps.All() {
+		sweep(app.Name, func() func(*cilk.Ctx) { return app.Build(mem.NewAllocator(), apps.Small).Prog })
+	}
+	sweep("reducerbench40", func() func(*cilk.Ctx) { return progs.ReducerBench(mem.NewAllocator(), 40) })
+	return lines
+}
+
+// TestReportDigests pins the byte-exact JSON document of every run in the
+// parity matrix. Any change to which races a detector or sweep keeps, in
+// what order, or how their accesses and provenance render, changes a
+// digest. The golden is the parity gate for optimizations of the
+// reporting path: it must never be regenerated to absorb such a change.
+func TestReportDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs and sweeps every benchmark at small scale")
+	}
+	path := filepath.Join("testdata", "report_digests.golden")
+	got := strings.Join(reportDigestRuns(t), "\n") + "\n"
+	if *updateDigests {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update-digests to create): %v", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	have := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
+	if len(want) != len(have) {
+		t.Fatalf("golden has %d runs, matrix has %d", len(want), len(have))
+	}
+	for i := range want {
+		if want[i] != have[i] {
+			t.Errorf("report digest drift:\n got  %s\n want %s", have[i], want[i])
+		}
+	}
+}
