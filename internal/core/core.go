@@ -149,24 +149,45 @@ type Report struct {
 	total int
 }
 
-// Add records a race.
-func (rp *Report) Add(r Race) {
+// Admit counts one race report and decides whether the caller must
+// materialize it: it returns true only for a race whose dedup key
+// (kind, addr, reducer, first, second) is new and that fits under Limit.
+// Admit does not allocate for a duplicate, nor for a new key once the
+// dedup table has capacity for it.
+//
+// A detector whose races render spawn paths (Lineage.Path) or other
+// derived text must call Admit at the race site before it builds the
+// Race, and pass each admitted race to Keep: most reports are duplicates
+// or fall past the limit, and rendering two accesses costs far more than
+// detecting the race. A detector whose Race is a copy of fields it
+// already holds may call Add instead.
+func (rp *Report) Admit(kind Kind, addr mem.Addr, reducer string, first, second cilk.FrameID) bool {
 	rp.total++
 	if rp.seen == nil {
 		rp.seen = make(map[raceKey]int)
 	}
-	k := raceKey{kind: r.Kind, addr: r.Addr, reducer: r.Reducer, first: r.First.Frame, second: r.Second.Frame}
-	if _, dup := rp.seen[k]; dup {
-		rp.seen[k]++
-		return
+	k := raceKey{kind: kind, addr: addr, reducer: reducer, first: first, second: second}
+	if n, dup := rp.seen[k]; dup {
+		rp.seen[k] = n + 1
+		return false
 	}
 	rp.seen[k] = 1
 	limit := rp.Limit
 	if limit == 0 {
 		limit = 1024
 	}
-	if len(rp.races) < limit {
-		rp.races = append(rp.races, r)
+	return len(rp.races) < limit
+}
+
+// Keep retains a race that Admit accepted, in detection order. r's key
+// fields must be the ones Admit was called with.
+func (rp *Report) Keep(r Race) { rp.races = append(rp.races, r) }
+
+// Add records a fully built race: Admit on its key, then Keep. It serves
+// tests and detectors whose races cost nothing to build; see Admit.
+func (rp *Report) Add(r Race) {
+	if rp.Admit(r.Kind, r.Addr, r.Reducer, r.First.Frame, r.Second.Frame) {
+		rp.Keep(r)
 	}
 }
 

@@ -286,10 +286,13 @@ func (d *Detector) ShardTimes() []time.Duration {
 // the report. It returns per-shard busy times.
 func runDetection(entries []entry, strands []strandRec, lin *core.Lineage, shards int, sequential bool, tr *obs.Trace, rp *core.Report) []time.Duration {
 	span := tr.Start("rader_depa_finalize")
-	pending, times := detectSharded(entries, strands, lin, shards, sequential, tr)
+	pending, times := detectSharded(entries, strands, shards, sequential, tr)
 	for _, p := range mergePending(pending) {
+		first, second := lin.Frame(p.first), lin.Frame(p.second)
 		for i := int32(0); i < p.count; i++ {
-			rp.Add(p.race)
+			if rp.Admit(core.Determinacy, p.addr, "", first, second) {
+				rp.Keep(p.race(lin))
+			}
 		}
 	}
 	span.Arg("shards", shards).Arg("entries", len(entries)).

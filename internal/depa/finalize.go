@@ -18,12 +18,33 @@ const pageBits = 12
 // pendingRace is one candidate race found by a shard, tagged with the
 // serial ordinal of the access that fired it so the merge step can
 // re-linearize candidates from all shards into the exact order a serial
-// detector would have reported them.
+// detector would have reported them. It holds lineage ids, not rendered
+// accesses: the serial merge admits candidates into the report first and
+// renders only the races the report keeps (rendering also writes the
+// lineage's path memo, which the concurrent shards must not touch).
 type pendingRace struct {
-	race  core.Race
-	ord   int64 // serial ordinal of the firing access (first repeat of a run)
-	sub   uint8 // at one store, the reader-race (0) precedes the writer-race (1)
-	count int32 // coalesced repeats, each of which re-fires the same race
+	addr          mem.Addr
+	first, second int32 // lineage ids of the earlier and the firing access's frames
+	firstOp       core.AccessOp
+	secondOp      core.AccessOp
+	firstEv       int64  // event ordinal of the earlier access
+	relation      string // the rule that fired
+	ord           int64  // serial ordinal of the firing access (first repeat of a run)
+	sub           uint8  // at one store, the reader-race (0) precedes the writer-race (1)
+	count         int32  // coalesced repeats, each of which re-fires the same race
+}
+
+// race renders p as a report entry.
+func (p *pendingRace) race(lin *core.Lineage) core.Race {
+	access := func(elem int32, op core.AccessOp) core.Access {
+		return core.Access{Frame: lin.Frame(elem), Label: lin.Label(elem), Path: lin.Path(elem), Op: op}
+	}
+	return core.Race{
+		Kind: core.Determinacy, Addr: p.addr,
+		First:  access(p.first, p.firstOp),
+		Second: access(p.second, p.secondOp),
+		Prov:   core.Provenance{FirstEvent: p.firstEv, SecondEvent: p.ord, Relation: p.relation},
+	}
 }
 
 // detectSharded runs the shadow-space discipline over the access log,
@@ -39,7 +60,7 @@ type pendingRace struct {
 // table's critical-path speedup. sequential runs the shards one after
 // another on the calling goroutine (identical verdict, uncontended
 // timings).
-func detectSharded(entries []entry, strands []strandRec, lin *core.Lineage, shards int, sequential bool, tr *obs.Trace) ([][]pendingRace, []time.Duration) {
+func detectSharded(entries []entry, strands []strandRec, shards int, sequential bool, tr *obs.Trace) ([][]pendingRace, []time.Duration) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -48,7 +69,7 @@ func detectSharded(entries []entry, strands []strandRec, lin *core.Lineage, shar
 	one := func(s int) {
 		span := tr.StartTID(s+1, "rader_depa_shard")
 		t0 := time.Now()
-		out[s] = detectShard(entries, strands, lin, s, shards)
+		out[s] = detectShard(entries, strands, s, shards)
 		times[s] = time.Since(t0)
 		span.Arg("shard", s).Arg("races", len(out[s])).End()
 	}
@@ -78,7 +99,7 @@ func detectSharded(entries []entry, strands []strandRec, lin *core.Lineage, shar
 // only when the previous reader is serial with the current strand
 // (pseudotransitivity of ∥ keeps one reader sufficient); the writer
 // shadow advances only from none or a serial writer.
-func detectShard(entries []entry, strands []strandRec, lin *core.Lineage, shard, shards int) []pendingRace {
+func detectShard(entries []entry, strands []strandRec, shard, shards int) []pendingRace {
 	reader := mem.NewShadow(noStrand)
 	writer := mem.NewShadow(noStrand)
 	readerEv := mem.NewShadow(0)
@@ -92,9 +113,12 @@ func detectShard(entries []entry, strands []strandRec, lin *core.Lineage, shard,
 		mask = shards - 1
 	}
 	var pend []pendingRace
-	access := func(s int32, op core.AccessOp) core.Access {
-		elem := strands[s].frame
-		return core.Access{Frame: lin.Frame(elem), Label: lin.Label(elem), Path: lin.Path(elem), Op: op}
+	candidate := func(e entry, prev int32, firstOp, secondOp core.AccessOp, ev *mem.Shadow, relation string, sub uint8) {
+		pend = append(pend, pendingRace{
+			addr: e.addr, first: strands[prev].frame, second: strands[e.strand].frame,
+			firstOp: firstOp, secondOp: secondOp, firstEv: int64(ev.Get(e.addr)), relation: relation,
+			ord: e.ord, sub: sub, count: e.count,
+		})
 	}
 	for _, e := range entries {
 		if shards > 1 {
@@ -118,18 +142,7 @@ func detectShard(entries []entry, strands []strandRec, lin *core.Lineage, shard,
 		switch e.op {
 		case opLoad:
 			if w := writer.Get(e.addr); w != noStrand && Parallel(strands[w].ts, curTs) {
-				pend = append(pend, pendingRace{
-					race: core.Race{
-						Kind: core.Determinacy, Addr: e.addr,
-						First:  access(w, core.OpWrite),
-						Second: access(cur, core.OpRead),
-						Prov: core.Provenance{
-							FirstEvent: int64(writerEv.Get(e.addr)), SecondEvent: e.ord,
-							Relation: "writer parallel",
-						},
-					},
-					ord: e.ord, sub: 0, count: e.count,
-				})
+				candidate(e, w, core.OpWrite, core.OpRead, writerEv, "writer parallel", 0)
 			}
 			if r := reader.Get(e.addr); r == noStrand || !Parallel(strands[r].ts, curTs) {
 				reader.Set(e.addr, cur)
@@ -137,33 +150,11 @@ func detectShard(entries []entry, strands []strandRec, lin *core.Lineage, shard,
 			}
 		case opStore:
 			if r := reader.Get(e.addr); r != noStrand && Parallel(strands[r].ts, curTs) {
-				pend = append(pend, pendingRace{
-					race: core.Race{
-						Kind: core.Determinacy, Addr: e.addr,
-						First:  access(r, core.OpRead),
-						Second: access(cur, core.OpWrite),
-						Prov: core.Provenance{
-							FirstEvent: int64(readerEv.Get(e.addr)), SecondEvent: e.ord,
-							Relation: "reader parallel",
-						},
-					},
-					ord: e.ord, sub: 0, count: e.count,
-				})
+				candidate(e, r, core.OpRead, core.OpWrite, readerEv, "reader parallel", 0)
 			}
 			w := writer.Get(e.addr)
 			if w != noStrand && Parallel(strands[w].ts, curTs) {
-				pend = append(pend, pendingRace{
-					race: core.Race{
-						Kind: core.Determinacy, Addr: e.addr,
-						First:  access(w, core.OpWrite),
-						Second: access(cur, core.OpWrite),
-						Prov: core.Provenance{
-							FirstEvent: int64(writerEv.Get(e.addr)), SecondEvent: e.ord,
-							Relation: "writer parallel",
-						},
-					},
-					ord: e.ord, sub: 1, count: e.count,
-				})
+				candidate(e, w, core.OpWrite, core.OpWrite, writerEv, "writer parallel", 1)
 			}
 			if w == noStrand || !Parallel(strands[w].ts, curTs) {
 				writer.Set(e.addr, cur)

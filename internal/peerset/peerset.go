@@ -248,23 +248,25 @@ func (d *Detector) readReducer(f *cilk.Frame, r *cilk.Reducer) {
 			if b.kind == kindP {
 				relation = "reader in P-bag"
 			}
-			d.report.Add(core.Race{
-				Kind:    core.ViewRead,
-				Reducer: r.Name,
-				First: core.Access{
-					Frame: prev.frame, Label: prev.label,
-					Path: d.lin.Path(int32(prev.elem)), Op: core.OpReducerRead,
-				},
-				Second: core.Access{
-					Frame: rec.id, Label: rec.label,
-					Path: d.lin.Path(int32(rec.elem)), Op: core.OpReducerRead,
-				},
-				Prov: core.Provenance{
-					FirstEvent:  prev.event,
-					SecondEvent: d.events,
-					Relation:    relation,
-				},
-			})
+			if d.report.Admit(core.ViewRead, 0, r.Name, prev.frame, rec.id) {
+				d.report.Keep(core.Race{
+					Kind:    core.ViewRead,
+					Reducer: r.Name,
+					First: core.Access{
+						Frame: prev.frame, Label: prev.label,
+						Path: d.lin.Path(int32(prev.elem)), Op: core.OpReducerRead,
+					},
+					Second: core.Access{
+						Frame: rec.id, Label: rec.label,
+						Path: d.lin.Path(int32(rec.elem)), Op: core.OpReducerRead,
+					},
+					Prov: core.Provenance{
+						FirstEvent:  prev.event,
+						SecondEvent: d.events,
+						Relation:    relation,
+					},
+				})
+			}
 		}
 	}
 	d.reader[r] = readerInfo{elem: rec.elem, frame: rec.id, label: rec.label, s: s, event: d.events}

@@ -171,16 +171,21 @@ func (d *Detector) bagOf(e dsu.Elem) *bag {
 	return d.forest.Payload(e).(*bag)
 }
 
-func (d *Detector) access(op core.AccessOp) core.Access {
-	e := int32(d.current.elem)
-	return core.Access{Frame: d.current.id, Label: d.current.label, Path: d.lin.Path(e), Op: op}
-}
-
-func (d *Detector) prior(e dsu.Elem, op core.AccessOp) core.Access {
-	return core.Access{
-		Frame: d.lin.Frame(int32(e)), Label: d.lin.Label(int32(e)),
-		Path: d.lin.Path(int32(e)), Op: op,
+// race reports a determinacy race at a between the prior access of
+// element prev, whose event ordinal ev recorded, and the current
+// function's access. The report admits the race on its dedup key first,
+// so only a race it keeps pays for rendering both accesses.
+func (d *Detector) race(a mem.Addr, prev dsu.Elem, firstOp, secondOp core.AccessOp, ev *mem.Shadow, relation string) {
+	p, cur := int32(prev), d.current
+	if !d.report.Admit(core.Determinacy, a, "", d.lin.Frame(p), cur.id) {
+		return
 	}
+	d.report.Keep(core.Race{
+		Kind: core.Determinacy, Addr: a,
+		First:  core.Access{Frame: d.lin.Frame(p), Label: d.lin.Label(p), Path: d.lin.Path(p), Op: firstOp},
+		Second: core.Access{Frame: cur.id, Label: cur.label, Path: d.lin.Path(int32(cur.elem)), Op: secondOp},
+		Prov:   core.Provenance{FirstEvent: int64(ev.Get(a)), SecondEvent: d.events, Relation: relation},
+	})
 }
 
 // Load implements the SP-bags read rule: a race iff the last writer is in
@@ -196,12 +201,7 @@ func (d *Detector) Load(f *cilk.Frame, a mem.Addr) {
 	d.counts.ShadowLookups += 2
 	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None {
 		if d.bagOf(w).kind == kindP {
-			d.report.Add(core.Race{
-				Kind: core.Determinacy, Addr: a,
-				First:  d.prior(w, core.OpWrite),
-				Second: d.access(core.OpRead),
-				Prov:   d.prov(d.writerEv.Get(a), "writer in P-bag"),
-			})
+			d.race(a, w, core.OpWrite, core.OpRead, d.writerEv, "writer in P-bag")
 		}
 	}
 	if r := dsu.Elem(d.reader.Get(a)); r == dsu.None || d.bagOf(r).kind == kindS {
@@ -221,21 +221,11 @@ func (d *Detector) Store(f *cilk.Frame, a mem.Addr) {
 	}
 	d.counts.ShadowLookups += 2
 	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None && d.bagOf(r).kind == kindP {
-		d.report.Add(core.Race{
-			Kind: core.Determinacy, Addr: a,
-			First:  d.prior(r, core.OpRead),
-			Second: d.access(core.OpWrite),
-			Prov:   d.prov(d.readerEv.Get(a), "reader in P-bag"),
-		})
+		d.race(a, r, core.OpRead, core.OpWrite, d.readerEv, "reader in P-bag")
 	}
 	w := dsu.Elem(d.writer.Get(a))
 	if w != dsu.None && d.bagOf(w).kind == kindP {
-		d.report.Add(core.Race{
-			Kind: core.Determinacy, Addr: a,
-			First:  d.prior(w, core.OpWrite),
-			Second: d.access(core.OpWrite),
-			Prov:   d.prov(d.writerEv.Get(a), "writer in P-bag"),
-		})
+		d.race(a, w, core.OpWrite, core.OpWrite, d.writerEv, "writer in P-bag")
 	}
 	if w == dsu.None || d.bagOf(w).kind == kindS {
 		d.writer.Set(a, int32(rec.elem))
@@ -247,12 +237,6 @@ var (
 	_ core.Detector = (*Detector)(nil)
 	_ cilk.Hooks    = (*Detector)(nil)
 )
-
-// prov assembles a Provenance for a race firing at the current event
-// against a prior access recorded in an ordinal shadow.
-func (d *Detector) prov(firstEv int32, relation string) core.Provenance {
-	return core.Provenance{FirstEvent: int64(firstEv), SecondEvent: d.events, Relation: relation}
-}
 
 // Stats implements core.StatsProvider.
 func (d *Detector) Stats() core.Stats {

@@ -318,19 +318,24 @@ func (d *Detector) curElem() dsu.Elem {
 	return d.current.elem
 }
 
-func (d *Detector) access(op core.AccessOp) core.Access {
-	e := int32(d.curElem())
-	return core.Access{
-		Frame: d.lin.Frame(e), Label: d.lin.Label(e), Path: d.lin.Path(e), Op: op,
-		ViewAware: d.vaDepth > 0, ViewOp: d.vaOp, VID: d.currentVID(),
+// race reports a determinacy race at a between the prior access of
+// element prev, whose event ordinal ev recorded, and the executing
+// strand's access. The report admits the race on its dedup key first, so
+// only a race it keeps pays for rendering both accesses.
+func (d *Detector) race(a mem.Addr, prev dsu.Elem, firstOp, secondOp core.AccessOp, ev *mem.Shadow, relation string) {
+	p, e := int32(prev), int32(d.curElem())
+	if !d.report.Admit(core.Determinacy, a, "", d.lin.Frame(p), d.lin.Frame(e)) {
+		return
 	}
-}
-
-func (d *Detector) prior(e dsu.Elem, op core.AccessOp) core.Access {
-	return core.Access{
-		Frame: d.lin.Frame(int32(e)), Label: d.lin.Label(int32(e)),
-		Path: d.lin.Path(int32(e)), Op: op,
-	}
+	d.report.Keep(core.Race{
+		Kind: core.Determinacy, Addr: a,
+		First: core.Access{Frame: d.lin.Frame(p), Label: d.lin.Label(p), Path: d.lin.Path(p), Op: firstOp},
+		Second: core.Access{
+			Frame: d.lin.Frame(e), Label: d.lin.Label(e), Path: d.lin.Path(e), Op: secondOp,
+			ViewAware: d.vaDepth > 0, ViewOp: d.vaOp, VID: d.currentVID(),
+		},
+		Prov: core.Provenance{FirstEvent: int64(ev.Get(a)), SecondEvent: d.events, Relation: relation},
+	})
 }
 
 // Load implements the two read rules of Figure 6.
@@ -365,12 +370,7 @@ func (d *Detector) Store(f *cilk.Frame, a mem.Addr) {
 
 func (d *Detector) loadOblivious(a mem.Addr) {
 	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None && d.bagOf(w).kind == kindP {
-		d.report.Add(core.Race{
-			Kind: core.Determinacy, Addr: a,
-			First:  d.prior(w, core.OpWrite),
-			Second: d.access(core.OpRead),
-			Prov:   d.prov(d.writerEv.Get(a), "writer in P-bag"),
-		})
+		d.race(a, w, core.OpWrite, core.OpRead, d.writerEv, "writer in P-bag")
 	}
 	if r := dsu.Elem(d.reader.Get(a)); r == dsu.None || d.bagOf(r).kind == kindS {
 		d.reader.Set(a, int32(d.curElem()))
@@ -380,21 +380,11 @@ func (d *Detector) loadOblivious(a mem.Addr) {
 
 func (d *Detector) storeOblivious(a mem.Addr) {
 	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None && d.bagOf(r).kind == kindP {
-		d.report.Add(core.Race{
-			Kind: core.Determinacy, Addr: a,
-			First:  d.prior(r, core.OpRead),
-			Second: d.access(core.OpWrite),
-			Prov:   d.prov(d.readerEv.Get(a), "reader in P-bag"),
-		})
+		d.race(a, r, core.OpRead, core.OpWrite, d.readerEv, "reader in P-bag")
 	}
 	w := dsu.Elem(d.writer.Get(a))
 	if w != dsu.None && d.bagOf(w).kind == kindP {
-		d.report.Add(core.Race{
-			Kind: core.Determinacy, Addr: a,
-			First:  d.prior(w, core.OpWrite),
-			Second: d.access(core.OpWrite),
-			Prov:   d.prov(d.writerEv.Get(a), "writer in P-bag"),
-		})
+		d.race(a, w, core.OpWrite, core.OpWrite, d.writerEv, "writer in P-bag")
 	}
 	if w == dsu.None || d.bagOf(w).kind == kindS {
 		d.writer.Set(a, int32(d.curElem()))
@@ -406,12 +396,7 @@ func (d *Detector) loadAware(a mem.Addr) {
 	vid := d.currentVID()
 	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None {
 		if b := d.bagOf(w); b.kind == kindP && b.vid != vid {
-			d.report.Add(core.Race{
-				Kind: core.Determinacy, Addr: a,
-				First:  d.prior(w, core.OpWrite),
-				Second: d.access(core.OpRead),
-				Prov:   d.prov(d.writerEv.Get(a), "writer on parallel view"),
-			})
+			d.race(a, w, core.OpWrite, core.OpRead, d.writerEv, "writer on parallel view")
 		}
 	}
 	r := dsu.Elem(d.reader.Get(a))
@@ -426,23 +411,13 @@ func (d *Detector) storeAware(a mem.Addr) {
 	vid := d.currentVID()
 	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None {
 		if b := d.bagOf(r); b.kind == kindP && b.vid != vid {
-			d.report.Add(core.Race{
-				Kind: core.Determinacy, Addr: a,
-				First:  d.prior(r, core.OpRead),
-				Second: d.access(core.OpWrite),
-				Prov:   d.prov(d.readerEv.Get(a), "reader on parallel view"),
-			})
+			d.race(a, r, core.OpRead, core.OpWrite, d.readerEv, "reader on parallel view")
 		}
 	}
 	w := dsu.Elem(d.writer.Get(a))
 	if w != dsu.None {
 		if b := d.bagOf(w); b.kind == kindP && b.vid != vid {
-			d.report.Add(core.Race{
-				Kind: core.Determinacy, Addr: a,
-				First:  d.prior(w, core.OpWrite),
-				Second: d.access(core.OpWrite),
-				Prov:   d.prov(d.writerEv.Get(a), "writer on parallel view"),
-			})
+			d.race(a, w, core.OpWrite, core.OpWrite, d.writerEv, "writer on parallel view")
 		}
 	}
 	if w == dsu.None || d.bagOf(w).kind == kindS ||
@@ -456,12 +431,6 @@ var (
 	_ core.Detector = (*Detector)(nil)
 	_ cilk.Hooks    = (*Detector)(nil)
 )
-
-// prov assembles a Provenance for a race firing at the current event
-// against a prior access recorded in an ordinal shadow.
-func (d *Detector) prov(firstEv int32, relation string) core.Provenance {
-	return core.Provenance{FirstEvent: int64(firstEv), SecondEvent: d.events, Relation: relation}
-}
 
 // Stats implements core.StatsProvider: the disjoint-set accounting behind
 // the O((T+Mτ)·α(v,v)) bound of Theorem 5.
