@@ -64,7 +64,7 @@ func TestRootUnitSteal(t *testing.T) {
 		trie:     specgen.BuildTrieIndexed(len(sel), func(pos int) cilk.StealSpec { return fam.At(sel[pos]) }, probes),
 		progress: newProgressSink(func(p SweepProgress) { unitsDone = p.UnitsDone }),
 	}
-	s.results = make([]groupResult, len(s.trie.Groups))
+	s.results = make([]runVerdict, len(s.trie.Groups))
 	s.progress.start(len(s.trie.Groups))
 	ws := newWSSched(s, 2)
 	s.sched = ws
@@ -197,7 +197,7 @@ func TestStealDuringFailedPrefixRespawn(t *testing.T) {
 		trie:     specgen.BuildTrieIndexed(len(sel), func(pos int) cilk.StealSpec { return fam.At(sel[pos]) }, probes),
 		progress: newProgressSink(func(p SweepProgress) { unitsDone = p.UnitsDone }),
 	}
-	s.results = make([]groupResult, len(s.trie.Groups))
+	s.results = make([]runVerdict, len(s.trie.Groups))
 	s.progress.start(len(s.trie.Groups))
 	ws := newWSSched(s, 2)
 	s.sched = ws
@@ -264,7 +264,7 @@ func TestSnapshotHandoffOnSteal(t *testing.T) {
 		trie:     specgen.BuildTrieIndexed(len(sel), func(pos int) cilk.StealSpec { return fam.At(sel[pos]) }, probes),
 		progress: newProgressSink(func(p SweepProgress) { unitsDone = p.UnitsDone }),
 	}
-	s.results = make([]groupResult, len(s.trie.Groups))
+	s.results = make([]runVerdict, len(s.trie.Groups))
 	s.progress.start(len(s.trie.Groups))
 	ws := newWSSched(s, 2)
 	s.sched = ws

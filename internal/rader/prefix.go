@@ -95,15 +95,6 @@ type unitTask struct {
 	root    bool
 }
 
-// groupResult is the verdict for one trie leaf, replicated at collect time
-// to every specification in the group.
-type groupResult struct {
-	races     []core.Race
-	total     int
-	err       error
-	viewReads *core.Report // piggybacked Peer-Set verdict, root unit only
-}
-
 // prefixSweep is the shared state of one prefix-sharing sweep run.
 type prefixSweep struct {
 	factory func() func(*cilk.Ctx)
@@ -114,8 +105,8 @@ type prefixSweep struct {
 	sel  []int // family indices the sweep runs (all, or the sample)
 	trie *specgen.Trie
 
-	results []groupResult // one slot per trie group, each written once
-	psErr   error         // root-unit failure, doubling as the peer-set loss
+	results []runVerdict // one slot per trie group, each written once
+	psErr   error        // root-unit failure, doubling as the peer-set loss
 
 	sched    *wsSched
 	progress *progressSink
@@ -152,7 +143,7 @@ func sweepPrefix(factory func() func(*cilk.Ctx), opts SweepOptions, workers int,
 		trie:     specgen.BuildTrieIndexed(len(sel), func(pos int) cilk.StealSpec { return fam.At(sel[pos]) }, probes),
 		progress: newProgressSink(opts.OnProgress),
 	}
-	s.results = make([]groupResult, len(s.trie.Groups))
+	s.results = make([]runVerdict, len(s.trie.Groups))
 	cr.Stats.Groups = len(s.trie.Groups)
 	s.progress.start(len(s.trie.Groups))
 
@@ -172,9 +163,9 @@ func sweepPrefix(factory func() func(*cilk.Ctx), opts SweepOptions, workers int,
 		cr.Stats.PagesPooled += w.pooled
 	}
 
-	// Collect exactly as the naive sweep does, replicating each group's
-	// verdict to every member specification in selection order so race
-	// attribution (first spec to report a distinct race wins) matches.
+	// Replicate each group's verdict to every member specification in
+	// selection order, so the shared collect step attributes each race to
+	// the same first specification as the naive sweep.
 	cspan := opts.Trace.Start("collect")
 	groupOf := make([]int, len(sel))
 	for g, members := range s.trie.Groups {
@@ -182,33 +173,8 @@ func sweepPrefix(factory func() func(*cilk.Ctx), opts SweepOptions, workers int,
 			groupOf[pos] = g
 		}
 	}
-	seen := make(map[string]bool)
-	for pos := range sel {
-		res := s.results[groupOf[pos]]
-		if res.err != nil {
-			name := sched.Format(s.specAt(pos))
-			if pos == 0 && s.psErr != nil {
-				// The root unit carried the Peer-Set pass too; its loss must
-				// be visible under both names, as in the naive piggyback.
-				cr.Failures = append(cr.Failures, SpecFailure{Spec: "peer-set", Err: s.psErr})
-			}
-			cr.Failures = append(cr.Failures, SpecFailure{Spec: name, Err: res.err})
-			continue
-		}
-		if res.viewReads != nil {
-			cr.ViewReads = res.viewReads
-		}
-		cr.SpecsRun++
-		cr.total += res.total
-		for _, race := range res.races {
-			key := race.String()
-			if !seen[key] {
-				seen[key] = true
-				cr.Races = append(cr.Races, CoverageFinding{Spec: sched.Format(s.specAt(pos)), Race: race})
-			}
-		}
-	}
-	cr.sortCanonical()
+	cr.collect(len(sel), func(pos int) *runVerdict { return &s.results[groupOf[pos]] },
+		func(pos int) string { return sched.Format(s.specAt(pos)) }, s.psErr)
 	cspan.Arg("specs", cr.SpecsRun).Arg("races", len(cr.Races)).
 		Arg("failures", len(cr.Failures)).End()
 	return cr
@@ -250,7 +216,7 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 		err := deadlineSkip()
 		groups := t.node.Leaves(nil)
 		for _, g := range groups {
-			s.results[g] = groupResult{err: err}
+			s.results[g] = runVerdict{err: err}
 		}
 		if t.root {
 			s.psErr = err
@@ -301,7 +267,7 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 		s.pages.Add(pages)
 		if p := recover(); p != nil {
 			err := streamerr.FromPanic("rader", p)
-			s.results[leaf] = groupResult{err: err}
+			s.results[leaf] = runVerdict{err: err}
 			unitRaces = 0
 			if t.root {
 				s.psErr = err
@@ -353,7 +319,7 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 
 	cilk.Run(s.factory(), cilk.Config{Spec: spec, Hooks: hooks})
 
-	res := groupResult{
+	res := runVerdict{
 		races: append([]core.Race(nil), det.Report().Races()...),
 		total: det.Report().Total(),
 	}

@@ -15,7 +15,6 @@ package rader
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -325,6 +324,7 @@ func orderOf(spec cilk.StealSpec) cilk.ReduceOrder {
 type CoverageFinding struct {
 	Spec string
 	Race core.Race
+	text string // Race.String(), rendered once at collect
 }
 
 // SpecFailure records one sweep unit that failed instead of producing a
@@ -482,21 +482,16 @@ func Coverage(prog func(*cilk.Ctx)) *CoverageResult {
 	return Sweep(func() func(*cilk.Ctx) { return prog }, SweepOptions{})
 }
 
-// CoverageParallel is Coverage with the per-specification SP+ runs spread
-// across workers goroutines — the sweep is embarrassingly parallel since
-// each specification analyses an independent execution. Because program
-// instances usually carry mutable workload state, the caller supplies a
-// factory producing a fresh, independent instance per run; instances must
-// allocate identical address layouts (e.g. a fresh mem.Allocator each) so
-// findings from different runs describe the same locations.
-func CoverageParallel(factory func() func(*cilk.Ctx), workers int) *CoverageResult {
-	return Sweep(factory, SweepOptions{Workers: workers})
-}
-
-// Sweep is the hardened §7 coverage sweep: CoverageParallel plus per-run
-// panic isolation, an event budget, and an overall deadline. Each failing
-// unit is reported in CoverageResult.Failures with its typed error while
-// every other specification still contributes its verdict.
+// Sweep is the hardened §7 coverage sweep: Coverage with the
+// per-specification SP+ runs spread across opts.Workers goroutines, plus
+// per-run panic isolation, an event budget, and an overall deadline. Each
+// failing unit is reported in CoverageResult.Failures with its typed error
+// while every other specification still contributes its verdict. Because
+// program instances usually carry mutable workload state, the caller
+// supplies a factory producing a fresh, independent instance per run;
+// instances must allocate identical address layouts (e.g. a fresh
+// mem.Allocator each) so findings from different runs describe the same
+// locations.
 func Sweep(factory func() func(*cilk.Ctx), opts SweepOptions) *CoverageResult {
 	workers := opts.Workers
 	if workers < 1 {
@@ -572,14 +567,7 @@ func Sweep(factory func() func(*cilk.Ctx), opts SweepOptions) *CoverageResult {
 		}
 	}
 
-	type specResult struct {
-		spec      string
-		races     []core.Race
-		total     int
-		err       error
-		viewReads *core.Report // piggybacked Peer-Set verdict, first spec only
-	}
-	results := make([]specResult, len(specs))
+	results := make([]runVerdict, len(specs))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -590,7 +578,7 @@ func Sweep(factory func() func(*cilk.Ctx), opts SweepOptions) *CoverageResult {
 				name := sched.Format(specs[i])
 				span := opts.Trace.StartTID(lane, "spec:"+name)
 				if clock.expired() {
-					results[i] = specResult{spec: name, err: deadlineSkip()}
+					results[i] = runVerdict{err: deadlineSkip()}
 					span.Arg("skipped", "deadline").End()
 					sink.unitDone(1, 0, 0, 0)
 					continue
@@ -601,13 +589,12 @@ func Sweep(factory func() func(*cilk.Ctx), opts SweepOptions) *CoverageResult {
 						EventBudget: opts.EventBudget, Deadline: deadline,
 					})
 					if err != nil {
-						results[i] = specResult{spec: name, err: err}
+						results[i] = runVerdict{err: err}
 						span.Arg("error", err.Error()).End()
 						sink.unitDone(1, 0, 0, 0)
 						continue
 					}
-					results[i] = specResult{
-						spec:      name,
+					results[i] = runVerdict{
 						races:     out.All[1].Report.Races(),
 						total:     out.All[1].Report.Total(),
 						viewReads: out.All[0].Report,
@@ -622,13 +609,12 @@ func Sweep(factory func() func(*cilk.Ctx), opts SweepOptions) *CoverageResult {
 					Wrap: wrapFor(sel[i], specs[i]),
 				})
 				if err != nil {
-					results[i] = specResult{spec: name, err: err}
+					results[i] = runVerdict{err: err}
 					span.Arg("error", err.Error()).End()
 					sink.unitDone(1, 0, 0, 0)
 					continue
 				}
-				results[i] = specResult{
-					spec:  name,
+				results[i] = runVerdict{
 					races: out.Report.Races(),
 					total: out.Report.Total(),
 				}
@@ -644,52 +630,15 @@ func Sweep(factory func() func(*cilk.Ctx), opts SweepOptions) *CoverageResult {
 	wg.Wait()
 
 	cspan := opts.Trace.Start("collect")
-	seen := make(map[string]bool)
-	for i, res := range results {
-		if res.err != nil {
-			if piggyback && i == 0 {
-				// The combined run carried the Peer-Set pass too; its loss
-				// must be visible under both names.
-				cr.Failures = append(cr.Failures, SpecFailure{Spec: "peer-set", Err: res.err})
-			}
-			cr.Failures = append(cr.Failures, SpecFailure{Spec: res.spec, Err: res.err})
-			continue
-		}
-		if res.viewReads != nil {
-			cr.ViewReads = res.viewReads
-		}
-		cr.SpecsRun++
-		cr.total += res.total
-		for _, race := range res.races {
-			key := race.String()
-			if !seen[key] {
-				seen[key] = true
-				cr.Races = append(cr.Races, CoverageFinding{Spec: res.spec, Race: race})
-			}
-		}
+	var psErr error
+	if piggyback {
+		psErr = results[0].err
 	}
-	cr.sortCanonical()
+	cr.collect(len(results), func(i int) *runVerdict { return &results[i] },
+		func(i int) string { return sched.Format(specs[i]) }, psErr)
 	cspan.Arg("specs", cr.SpecsRun).Arg("races", len(cr.Races)).
 		Arg("failures", len(cr.Failures)).End()
 	return cr
-}
-
-// sortCanonical puts findings and failures into spec order (ties broken by
-// the race or error text) so a sweep's result — and any JSON rendering of
-// it — is byte-identical regardless of worker count or completion order.
-func (cr *CoverageResult) sortCanonical() {
-	sort.SliceStable(cr.Races, func(i, j int) bool {
-		if cr.Races[i].Spec != cr.Races[j].Spec {
-			return cr.Races[i].Spec < cr.Races[j].Spec
-		}
-		return cr.Races[i].Race.String() < cr.Races[j].Race.String()
-	})
-	sort.SliceStable(cr.Failures, func(i, j int) bool {
-		if cr.Failures[i].Spec != cr.Failures[j].Spec {
-			return cr.Failures[i].Spec < cr.Failures[j].Spec
-		}
-		return fmt.Sprint(cr.Failures[i].Err) < fmt.Sprint(cr.Failures[j].Err)
-	})
 }
 
 // measure profiles one program instance, containing any panic the program

@@ -123,7 +123,7 @@ func TestCoverageParallelMatchesSerial(t *testing.T) {
 		return progs.Fig1(mem.NewAllocator(), progs.Fig1Options{})
 	}
 	serial := Coverage(factory())
-	par := CoverageParallel(factory, 4)
+	par := Sweep(factory, SweepOptions{Workers: 4})
 	if par.SpecsRun != serial.SpecsRun {
 		t.Fatalf("specs run differ: %d vs %d", par.SpecsRun, serial.SpecsRun)
 	}
@@ -135,7 +135,7 @@ func TestCoverageParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("finding %d differs", i)
 		}
 	}
-	if CoverageParallel(factory, 0).SpecsRun != serial.SpecsRun {
+	if Sweep(factory, SweepOptions{Workers: 0}).SpecsRun != serial.SpecsRun {
 		t.Fatal("workers=0 must clamp to 1")
 	}
 }
