@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/cilk"
@@ -77,17 +78,30 @@ type Access struct {
 	VID       cilk.ViewID // view context of the access (SP+ only)
 }
 
-// String implements fmt.Stringer.
-func (a Access) String() string {
-	where := fmt.Sprintf("%s#%d", a.Label, a.Frame)
+// String implements fmt.Stringer: "write by g#3 [main>g]", plus
+// " (view-aware Update, view 2)" for a view-aware access.
+func (a Access) String() string { return string(a.appendText(nil)) }
+
+// appendText appends the String rendering of a to b.
+func (a Access) appendText(b []byte) []byte {
+	b = append(b, a.Op.String()...)
+	b = append(b, " by "...)
+	b = append(b, a.Label...)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(a.Frame), 10)
 	if a.Path != "" {
-		where = fmt.Sprintf("%s#%d [%s]", a.Label, a.Frame, a.Path)
+		b = append(b, " ["...)
+		b = append(b, a.Path...)
+		b = append(b, ']')
 	}
-	s := fmt.Sprintf("%s by %s", a.Op, where)
 	if a.ViewAware {
-		s += fmt.Sprintf(" (view-aware %s, view %d)", a.ViewOp, a.VID)
+		b = append(b, " (view-aware "...)
+		b = append(b, a.ViewOp.String()...)
+		b = append(b, ", view "...)
+		b = strconv.AppendInt(b, int64(a.VID), 10)
+		b = append(b, ')')
 	}
-	return s
+	return b
 }
 
 // Provenance explains *why* a detector reported a race: which SP relation
@@ -119,14 +133,23 @@ type Race struct {
 	Prov    Provenance
 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the kind, the reducer (quoted) of a
+// view-read race or the address (hex) of any other, and both accesses.
 func (r Race) String() string {
-	switch r.Kind {
-	case ViewRead:
-		return fmt.Sprintf("%v on reducer %q: %v vs %v", r.Kind, r.Reducer, r.First, r.Second)
-	default:
-		return fmt.Sprintf("%v at %#x: %v vs %v", r.Kind, uint64(r.Addr), r.First, r.Second)
+	b := make([]byte, 0, 160)
+	b = append(b, r.Kind.String()...)
+	if r.Kind == ViewRead {
+		b = append(b, " on reducer "...)
+		b = strconv.AppendQuote(b, r.Reducer)
+	} else {
+		b = append(b, " at 0x"...)
+		b = strconv.AppendUint(b, uint64(r.Addr), 16)
 	}
+	b = append(b, ": "...)
+	b = r.First.appendText(b)
+	b = append(b, " vs "...)
+	b = r.Second.appendText(b)
+	return string(b)
 }
 
 // raceKey dedups repeated reports of the same logical race. Detectors fire

@@ -8,29 +8,29 @@ import (
 
 func TestMakeSetSingleton(t *testing.T) {
 	f := NewForest(4)
-	a := f.MakeSet("a")
-	b := f.MakeSet("b")
+	a := f.MakeSet(10)
+	b := f.MakeSet(20)
 	if f.Same(a, b) {
 		t.Fatal("fresh sets must be disjoint")
 	}
-	if got := f.Payload(a); got != "a" {
-		t.Fatalf("payload(a) = %v, want a", got)
+	if got := f.Payload(a); got != 10 {
+		t.Fatalf("payload(a) = %v, want 10", got)
 	}
-	if got := f.Payload(b); got != "b" {
-		t.Fatalf("payload(b) = %v, want b", got)
+	if got := f.Payload(b); got != 20 {
+		t.Fatalf("payload(b) = %v, want 20", got)
 	}
 }
 
 func TestUnionKeepsDstPayload(t *testing.T) {
 	f := NewForest(4)
-	a := f.MakeSet("A")
-	b := f.MakeSet("B")
+	a := f.MakeSet(1)
+	b := f.MakeSet(2)
 	f.Union(a, b)
 	if !f.Same(a, b) {
 		t.Fatal("union failed")
 	}
-	if got := f.Payload(b); got != "A" {
-		t.Fatalf("payload after union = %v, want A (dst payload survives)", got)
+	if got := f.Payload(b); got != 1 {
+		t.Fatalf("payload after union = %v, want 1 (dst payload survives)", got)
 	}
 }
 
@@ -38,35 +38,35 @@ func TestUnionChainPayload(t *testing.T) {
 	// Repeatedly union singletons into a growing set; payload must always be
 	// the original destination's, regardless of which root rank picks.
 	f := NewForest(64)
-	dst := f.MakeSet("keep")
-	for i := 0; i < 50; i++ {
+	dst := f.MakeSet(-7)
+	for i := int32(0); i < 50; i++ {
 		e := f.MakeSet(i)
 		f.Union(dst, e)
-		if got := f.Payload(e); got != "keep" {
-			t.Fatalf("after union %d payload = %v, want keep", i, got)
+		if got := f.Payload(e); got != -7 {
+			t.Fatalf("after union %d payload = %v, want -7", i, got)
 		}
 	}
 }
 
 func TestUnionSelf(t *testing.T) {
 	f := NewForest(2)
-	a := f.MakeSet("x")
+	a := f.MakeSet(5)
 	if r := f.Union(a, a); r != f.Find(a) {
 		t.Fatal("self union should be a no-op returning the root")
 	}
-	if f.Payload(a) != "x" {
+	if f.Payload(a) != 5 {
 		t.Fatal("self union must not drop payload")
 	}
 }
 
 func TestSetPayload(t *testing.T) {
 	f := NewForest(2)
-	a := f.MakeSet("old")
-	b := f.MakeSet("junk")
+	a := f.MakeSet(1)
+	b := f.MakeSet(99)
 	f.Union(a, b)
-	f.SetPayload(b, "new")
-	if got := f.Payload(a); got != "new" {
-		t.Fatalf("payload = %v, want new", got)
+	f.SetPayload(b, 2)
+	if got := f.Payload(a); got != 2 {
+		t.Fatalf("payload = %v, want 2", got)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestFindCompresses(t *testing.T) {
 	f := NewForest(1024)
 	elems := make([]Elem, 1000)
 	for i := range elems {
-		elems[i] = f.MakeSet(nil)
+		elems[i] = f.MakeSet(0)
 	}
 	for i := 1; i < len(elems); i++ {
 		f.Union(elems[0], elems[i])
@@ -96,15 +96,15 @@ func TestFindCompresses(t *testing.T) {
 // refDSU is a trivially correct reference: set membership by map coloring.
 type refDSU struct {
 	color   map[int]int
-	payload map[int]any
+	payload map[int]int32
 	next    int
 }
 
 func newRefDSU() *refDSU {
-	return &refDSU{color: map[int]int{}, payload: map[int]any{}}
+	return &refDSU{color: map[int]int{}, payload: map[int]int32{}}
 }
 
-func (r *refDSU) makeSet(p any) int {
+func (r *refDSU) makeSet(p int32) int {
 	id := r.next
 	r.next++
 	r.color[id] = id
@@ -129,7 +129,7 @@ func (r *refDSU) union(dst, src int) {
 
 func (r *refDSU) same(a, b int) bool { return r.color[a] == r.color[b] }
 
-func (r *refDSU) pay(e int) any { return r.payload[r.color[e]] }
+func (r *refDSU) pay(e int) int32 { return r.payload[r.color[e]] }
 
 // TestQuickAgainstReference drives Forest and a reference implementation with
 // the same random operation sequence and requires identical observable
@@ -144,7 +144,7 @@ func TestQuickAgainstReference(t *testing.T) {
 		for op := 0; op < 300; op++ {
 			switch {
 			case len(elems) < 2 || rng.Intn(3) == 0:
-				p := rng.Intn(1000)
+				p := rng.Int31n(1000)
 				elems = append(elems, f.MakeSet(p))
 				refs = append(refs, ref.makeSet(p))
 			default:
@@ -175,7 +175,7 @@ func TestNaiveForestMatchesForest(t *testing.T) {
 	var ne []Elem
 	for op := 0; op < 500; op++ {
 		if len(fe) < 2 || rng.Intn(3) == 0 {
-			p := rng.Intn(100)
+			p := rng.Int31n(100)
 			fe = append(fe, f.MakeSet(p))
 			ne = append(ne, n.MakeSet(p))
 		} else {
@@ -195,8 +195,8 @@ func TestNaiveForestMatchesForest(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	f := NewForest(4)
-	a := f.MakeSet(nil)
-	b := f.MakeSet(nil)
+	a := f.MakeSet(0)
+	b := f.MakeSet(0)
 	f.Union(a, b)
 	f.Find(a)
 	finds, unions := f.Stats()
@@ -208,6 +208,109 @@ func TestStats(t *testing.T) {
 	}
 }
 
+type attr struct {
+	kind int8
+	vid  int64
+}
+
+// TestBagsReleaseOnlyWhenEmpty: an emptied bag's slot is reused by the
+// next New; a bag that still has members keeps its slot and attributes,
+// so those members go on reporting them.
+func TestBagsReleaseOnlyWhenEmpty(t *testing.T) {
+	var bags Bags[attr]
+	s := bags.New(attr{kind: 0})
+	p := bags.New(attr{kind: 1, vid: 3})
+	e := bags.Add(p)
+	bags.Release(p) // still holds e: must not be reused
+	if q := bags.New(attr{kind: 2}); q == p {
+		t.Fatalf("New reused non-empty bag %d", p)
+	}
+	if got := bags.AttrOf(e); got != (attr{kind: 1, vid: 3}) {
+		t.Fatalf("AttrOf(e) = %+v after releasing a non-empty bag", got)
+	}
+	bags.UnionInto(s, p)
+	if bags.Of(e) != s {
+		t.Fatalf("Of(e) = %d, want %d after UnionInto", bags.Of(e), s)
+	}
+	bags.Release(p) // now empty: the next New takes its slot
+	if q := bags.New(attr{kind: 1, vid: 9}); q != p || bags.Attr(q) != (attr{kind: 1, vid: 9}) {
+		t.Fatalf("New = %d %+v, want reused slot %d with fresh attributes", q, bags.Attr(q), p)
+	}
+	if got := bags.AttrOf(e); got != (attr{kind: 0}) {
+		t.Fatalf("AttrOf(e) = %+v, want the S bag's", got)
+	}
+	if bags.Ops() != 2 {
+		t.Fatalf("Ops = %d, want 2 (one Add, one non-empty union)", bags.Ops())
+	}
+	bags.UnionInto(s, p) // empty source: free and uncounted
+	if bags.Ops() != 2 {
+		t.Fatalf("Ops = %d after an empty union, want 2", bags.Ops())
+	}
+}
+
+// TestBagsCopyFrom: a copy carries members, attributes, the free list and
+// counters, and the two tables evolve independently afterwards — also
+// when the destination was a dirty table with more slots than the source.
+func TestBagsCopyFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var src, dirty Bags[attr]
+	for i := 0; i < 40; i++ {
+		b := dirty.New(attr{kind: int8(i % 3)})
+		dirty.Add(b)
+		if i%2 == 0 {
+			dirty.Release(b)
+		}
+	}
+	var live []Bag
+	var elems []Elem
+	for i := 0; i < 200; i++ {
+		switch {
+		case len(live) < 2 || rng.Intn(4) == 0:
+			live = append(live, src.New(attr{kind: int8(rng.Intn(3)), vid: int64(i)}))
+		case rng.Intn(2) == 0:
+			elems = append(elems, src.Add(live[rng.Intn(len(live))]))
+		default:
+			i, j := rng.Intn(len(live)), rng.Intn(len(live))
+			if i != j {
+				src.UnionInto(live[i], live[j])
+				src.Release(live[j])
+				live = append(live[:j], live[j+1:]...)
+			}
+		}
+	}
+	dirty.CopyFrom(&src)
+	check := func(what string) {
+		t.Helper()
+		for _, e := range elems {
+			if dirty.Of(e) != src.Of(e) || dirty.AttrOf(e) != src.AttrOf(e) {
+				t.Fatalf("%s: element %d in bag %d %+v, source has %d %+v",
+					what, e, dirty.Of(e), dirty.AttrOf(e), src.Of(e), src.AttrOf(e))
+			}
+		}
+		if dirty.Ops() != src.Ops() || dirty.Len() != src.Len() {
+			t.Fatalf("%s: ops/len %d/%d, source %d/%d", what, dirty.Ops(), dirty.Len(), src.Ops(), src.Len())
+		}
+		if a, b := dirty.New(attr{}), src.New(attr{}); a != b {
+			t.Fatalf("%s: copies hand out slot %d vs %d", what, a, b)
+		}
+	}
+	check("after copy")
+	// Mutate the copy only; the source must not move.
+	before := make([]Bag, len(elems))
+	for i, e := range elems {
+		before[i] = src.Of(e)
+	}
+	target := dirty.New(attr{kind: 1})
+	for _, b := range live {
+		dirty.UnionInto(target, b)
+	}
+	for i, e := range elems {
+		if src.Of(e) != before[i] {
+			t.Fatalf("mutating the copy moved source element %d", e)
+		}
+	}
+}
+
 func BenchmarkAblationPathCompression(b *testing.B) {
 	const n = 1 << 12
 	b.Run("forest", func(b *testing.B) {
@@ -215,7 +318,7 @@ func BenchmarkAblationPathCompression(b *testing.B) {
 			f := NewForest(n)
 			elems := make([]Elem, n)
 			for j := range elems {
-				elems[j] = f.MakeSet(nil)
+				elems[j] = f.MakeSet(0)
 			}
 			for j := 1; j < n; j++ {
 				f.Union(elems[j], elems[j-1])
@@ -230,7 +333,7 @@ func BenchmarkAblationPathCompression(b *testing.B) {
 			f := NewNaiveForest()
 			elems := make([]Elem, n)
 			for j := range elems {
-				elems[j] = f.MakeSet(nil)
+				elems[j] = f.MakeSet(0)
 			}
 			for j := 1; j < n; j++ {
 				f.Union(elems[j], elems[j-1])

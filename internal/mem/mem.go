@@ -141,23 +141,35 @@ func NewShadow(sentinel int32) *Shadow {
 	return &Shadow{pages: make(map[uint64]*shadowPage), sentinel: sentinel}
 }
 
-// newPage hands out a sentinel-filled buffer, recycling one from the free
-// list when available.
-func (s *Shadow) newPage() []int32 {
+// newPage hands out a page buffer, recycling one from the free list when
+// available. With fill it reads as the sentinel throughout; a
+// copy-on-write clone passes fill=false, since its copy overwrites every
+// entry.
+func (s *Shadow) newPage(fill bool) []int32 {
 	var buf []int32
 	if n := len(s.free); n > 0 {
-		buf = s.free[n-1]
-		s.free = s.free[:n-1]
+		buf, s.free = s.free[n-1], s.free[:n-1]
 	} else {
 		buf = make([]int32, pageSize)
-		if s.sentinel == 0 {
-			return buf
-		}
+		fill = fill && s.sentinel != 0
 	}
-	for i := range buf {
-		buf[i] = s.sentinel
+	if fill {
+		fillPage(buf, s.sentinel)
 	}
 	return buf
+}
+
+// fillPage sets every entry of buf to v: clear for 0, otherwise one store
+// followed by copies that double the filled prefix.
+func fillPage(buf []int32, v int32) {
+	if v == 0 {
+		clear(buf)
+		return
+	}
+	buf[0] = v
+	for n := 1; n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
+	}
 }
 
 func (s *Shadow) page(a Addr, create bool) *shadowPage {
@@ -170,7 +182,7 @@ func (s *Shadow) page(a Addr, create bool) *shadowPage {
 		if !create {
 			return nil
 		}
-		pg = &shadowPage{buf: s.newPage()}
+		pg = &shadowPage{buf: s.newPage(true)}
 		s.pages[pn] = pg
 	}
 	s.lastPage, s.last = pn, pg
@@ -192,7 +204,7 @@ func (s *Shadow) Get(a Addr) int32 {
 func (s *Shadow) Set(a Addr, v int32) {
 	pg := s.page(a, true)
 	if pg.shared {
-		clone := &shadowPage{buf: s.newPage()}
+		clone := &shadowPage{buf: s.newPage(false)}
 		copy(clone.buf, pg.buf)
 		pn := uint64(a) >> pageBits
 		s.pages[pn] = clone

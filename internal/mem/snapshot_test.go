@@ -110,3 +110,47 @@ func TestMapShadowReset(t *testing.T) {
 		t.Fatalf("after Reset MapShadow reads %d, want sentinel", got)
 	}
 }
+
+// A copy-on-write Set into a warmed shadow allocates at most the page
+// struct: the clone's buffer comes off the free list and is not
+// sentinel-filled before the copy overwrites it.
+func TestShadowCopyOnWriteSetAllocs(t *testing.T) {
+	s := NewShadow(-1)
+	s.Set(5, 1)
+	snap := s.Snapshot()
+	s.Set(6, 2) // clone once so Restore parks a buffer on the free list
+	s.Restore(snap)
+	allocs := testing.AllocsPerRun(200, func() {
+		s.Set(6, 2)
+		s.Restore(snap)
+	})
+	if allocs > 1 {
+		t.Fatalf("copy-on-write Set: %v allocs per run, want at most 1 (the page struct)", allocs)
+	}
+	if s.Get(5) != 1 || s.Get(6) != -1 {
+		t.Fatalf("restored shadow reads %d %d, want 1 -1", s.Get(5), s.Get(6))
+	}
+}
+
+// A recycled buffer comes back reading the sentinel at every entry, for
+// zero and non-zero sentinels alike, and whichever sentinel the shadow
+// adopted from a snapshot since the buffer was parked.
+func TestShadowRecycledPageFilled(t *testing.T) {
+	for _, sentinel := range []int32{0, -1, 7} {
+		s := NewShadow(99)
+		for a := Addr(0); a < pageSize; a++ {
+			s.Set(a, int32(a)+1000)
+		}
+		s.Restore(NewShadow(sentinel).Snapshot()) // parks the page, adopts sentinel
+		s.Set(pageSize+3, 5)                      // a fresh page off the free list
+		for a := Addr(pageSize); a < 2*pageSize; a++ {
+			want := sentinel
+			if a == pageSize+3 {
+				want = 5
+			}
+			if got := s.Get(a); got != want {
+				t.Fatalf("sentinel %d: addr %d reads %d, want %d", sentinel, a, got, want)
+			}
+		}
+	}
+}

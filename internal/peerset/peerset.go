@@ -42,23 +42,13 @@ const (
 	kindP
 )
 
-// bag is one Peer-Set bag: a possibly-empty set in the disjoint-set forest.
-// The forest payload of the set's root points back at the bag, so finding
-// the bag containing a frame is a Find plus one pointer chase.
-type bag struct {
-	kind bagKind
-	root dsu.Elem // dsu.None when empty
-}
-
 type frameRec struct {
-	id    cilk.FrameID
-	label string
-	elem  dsu.Elem
-	ls    int // local-spawn count
-	as    int // ancestor-spawn count
-	ss    *bag
-	sp    *bag
-	p     *bag
+	id        cilk.FrameID
+	label     string
+	elem      dsu.Elem
+	ls        int // local-spawn count
+	as        int // ancestor-spawn count
+	ss, sp, p dsu.Bag
 }
 
 type readerInfo struct {
@@ -74,8 +64,8 @@ type readerInfo struct {
 type Detector struct {
 	cilk.Empty // Peer-Set ignores memory accesses and view events
 
-	forest *dsu.Forest
-	stack  []*frameRec
+	bags   dsu.Bags[bagKind] // each bag's kind is its attribute
+	stack  []frameRec
 	reader map[*cilk.Reducer]readerInfo
 	lin    core.Lineage
 	report core.Report
@@ -87,7 +77,6 @@ type Detector struct {
 // New returns a fresh Peer-Set detector.
 func New() *Detector {
 	return &Detector{
-		forest: dsu.NewForest(256),
 		reader: make(map[*cilk.Reducer]readerInfo),
 	}
 }
@@ -98,66 +87,36 @@ func (d *Detector) Name() string { return "peer-set" }
 // Report implements core.Detector.
 func (d *Detector) Report() *core.Report { return &d.report }
 
-func (d *Detector) newBag(k bagKind) *bag { return &bag{kind: k, root: dsu.None} }
-
-// addToBag inserts a fresh forest element for rec into b.
-func (d *Detector) addToBag(b *bag, e dsu.Elem) {
-	d.counts.BagOps++
-	if b.root == dsu.None {
-		b.root = e
-		d.forest.SetPayload(e, b)
-		return
-	}
-	b.root = d.forest.Union(b.root, e)
-}
-
-// unionInto unions src's contents into dst and empties src.
-func (d *Detector) unionInto(dst, src *bag) {
-	if src.root == dsu.None {
-		return
-	}
-	d.counts.BagOps++
-	if dst.root == dsu.None {
-		dst.root = src.root
-		d.forest.SetPayload(src.root, dst)
-	} else {
-		dst.root = d.forest.Union(dst.root, src.root)
-	}
-	src.root = dsu.None
-}
-
-func (d *Detector) top() *frameRec { return d.stack[len(d.stack)-1] }
+// top is the executing frame; the pointer is valid until the stack grows.
+func (d *Detector) top() *frameRec { return &d.stack[len(d.stack)-1] }
 
 // FrameEnter implements the "F calls or spawns G" case of Figure 3.
 func (d *Detector) FrameEnter(f *cilk.Frame) {
 	d.events++
 	d.counts.FrameEnters++
-	rec := &frameRec{id: f.ID, label: f.Label}
+	rec := frameRec{id: f.ID, label: f.Label}
+	parent := core.NoParent
 	if len(d.stack) > 0 {
-		parent := d.top()
+		frec := d.top()
 		if f.Spawned {
-			parent.ls++
+			frec.ls++
 			// A new spawn changes the peer set of F's subsequent strands:
 			// descendants matching the previous continuation no longer
 			// match any strand of F.
-			d.unionInto(parent.p, parent.sp)
+			d.bags.UnionInto(frec.p, frec.sp)
 		}
-		rec.as = parent.as + parent.ls
+		rec.as = frec.as + frec.ls
+		parent = int32(frec.elem)
 	}
-	rec.ss = d.newBag(kindSS)
-	rec.sp = d.newBag(kindSP)
-	rec.p = d.newBag(kindP)
-	rec.elem = d.forest.MakeSet(nil)
-	d.addToBag(rec.ss, rec.elem) // G.SS = MakeBag(G)
-	parent := core.NoParent
-	if len(d.stack) > 0 {
-		parent = int32(d.top().elem)
-	}
+	rec.ss, rec.sp, rec.p = d.bags.New(kindSS), d.bags.New(kindSP), d.bags.New(kindP)
+	rec.elem = d.bags.Add(rec.ss) // G.SS = MakeBag(G)
 	d.lin.Add(int32(rec.elem), f.ID, f.Label, parent)
 	d.stack = append(d.stack, rec)
 }
 
-// FrameReturn implements the "G returns to F" case of Figure 3.
+// FrameReturn implements the "G returns to F" case of Figure 3. G's bags
+// go back to the table; its SP bag keeps its slot if a malformed stream
+// left it non-empty.
 func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 	d.events++
 	d.counts.FrameReturns++
@@ -165,7 +124,7 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 		panic(core.Violatef("peerset", core.StreamOrder, g.ID,
 			"return of frame %d with %d frames on the stack", g.ID, len(d.stack)))
 	}
-	grec := d.top()
+	grec := *d.top()
 	if grec.id != g.ID {
 		panic(core.Violatef("peerset", core.StreamOrder, g.ID,
 			"event order violation: returning %v, top is %v", g.ID, grec.id))
@@ -176,23 +135,26 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 		panic(core.Violatef("peerset", core.StreamOrder, f.ID,
 			"parent mismatch on return: returning to %v, below top is %v", f.ID, frec.id))
 	}
-	d.unionInto(frec.p, grec.p)
+	d.bags.UnionInto(frec.p, grec.p)
 	switch {
 	case g.Spawned:
 		// Everything under a spawned child is parallel to F's later
 		// strands' peers differently — G's descendants can never share a
 		// peer set with a strand of F.
-		d.unionInto(frec.p, grec.ss)
+		d.bags.UnionInto(frec.p, grec.ss)
 	case frec.ls == 0:
 		// Called with no outstanding spawns: G's first strand has the
 		// same peer set as F's first strand.
-		d.unionInto(frec.ss, grec.ss)
+		d.bags.UnionInto(frec.ss, grec.ss)
 	default:
 		// Called with outstanding spawns: G's first strand matches F's
 		// last executed continuation strand.
-		d.unionInto(frec.sp, grec.ss)
+		d.bags.UnionInto(frec.sp, grec.ss)
 	}
 	// G.SP is guaranteed empty: functions sync before returning.
+	d.bags.Release(grec.ss)
+	d.bags.Release(grec.sp)
+	d.bags.Release(grec.p)
 }
 
 // Sync implements the "F syncs" case of Figure 3.
@@ -208,7 +170,7 @@ func (d *Detector) Sync(f *cilk.Frame) {
 			"sync frame mismatch: syncing %v, top is %v", f.ID, rec.id))
 	}
 	rec.ls = 0
-	d.unionInto(rec.p, rec.sp)
+	d.bags.UnionInto(rec.p, rec.sp)
 }
 
 // ReducerCreate treats reducer creation as a reducer-read (§3 defines
@@ -239,13 +201,13 @@ func (d *Detector) readReducer(f *cilk.Frame, r *cilk.Reducer) {
 	s := rec.as + rec.ls
 	d.counts.ShadowLookups++
 	if prev, ok := d.reader[r]; ok {
-		b := d.forest.Payload(prev.elem).(*bag)
-		if b.kind == kindP || prev.s != s {
+		kind := d.bags.AttrOf(prev.elem)
+		if kind == kindP || prev.s != s {
 			// Lemma 2 vs Lemma 3: the prior reader either fell into a P bag
 			// (some ancestor spawned past it) or sits in an SS/SP bag with a
 			// different spawn count; name whichever rule fired.
 			relation := "spawn-count mismatch"
-			if b.kind == kindP {
+			if kind == kindP {
 				relation = "reader in P-bag"
 			}
 			if d.report.Admit(core.ViewRead, 0, r.Name, prev.frame, rec.id) {
@@ -282,11 +244,15 @@ var (
 // Stats implements core.StatsProvider: the disjoint-set accounting behind
 // the O(T·α(x,x)) bound of Theorem 1.
 func (d *Detector) Stats() core.Stats {
-	finds, unions := d.forest.Stats()
-	return core.Stats{Elems: d.forest.Len(), Finds: finds, Unions: unions}
+	finds, unions := d.bags.Stats()
+	return core.Stats{Elems: d.bags.Len(), Finds: finds, Unions: unions}
 }
 
 // EventCounts implements core.EventCountsProvider. Peer-Set is oblivious
 // to memory traffic and view boundaries, so only the control and reducer
 // classes (and bag/shadow bookkeeping) accumulate.
-func (d *Detector) EventCounts() obs.EventCounts { return d.counts }
+func (d *Detector) EventCounts() obs.EventCounts {
+	c := d.counts
+	c.BagOps = d.bags.Ops()
+	return c
+}

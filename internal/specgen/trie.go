@@ -73,13 +73,21 @@ func MeasureProbes(prog func(*cilk.Ctx)) (Profile, []ProbeRecord) {
 	return pr.p, probes
 }
 
-// evalProbe replays one recorded probe against a specification offline.
-func evalProbe(spec cilk.StealSpec, p ProbeRecord) bool {
-	f := &cilk.Frame{ID: p.Frame, Label: p.Label, Depth: p.Depth, SyncBlock: p.SyncBlock}
-	return spec.ShouldSteal(cilk.ContInfo{
-		Frame: f, Label: p.Label, Depth: p.Depth, SyncBlock: p.SyncBlock,
-		Index: p.Index, Seq: p.Seq, PDepth: p.PDepth,
-	})
+// contInfos rebuilds the ContInfo each recorded probe presented, so any
+// number of specifications can be asked ShouldSteal offline without
+// allocating per question. The frames are rebuilt from the record's scalar
+// fields and shared by every caller, which only reads them.
+func contInfos(probes []ProbeRecord) []cilk.ContInfo {
+	frames := make([]cilk.Frame, len(probes))
+	cis := make([]cilk.ContInfo, len(probes))
+	for i, p := range probes {
+		frames[i] = cilk.Frame{ID: p.Frame, Label: p.Label, Depth: p.Depth, SyncBlock: p.SyncBlock}
+		cis[i] = cilk.ContInfo{
+			Frame: &frames[i], Label: p.Label, Depth: p.Depth, SyncBlock: p.SyncBlock,
+			Index: p.Index, Seq: p.Seq, PDepth: p.PDepth,
+		}
+	}
+	return cis
 }
 
 // DecisionVector evaluates spec offline over the recorded probes: element
@@ -88,8 +96,8 @@ func evalProbe(spec cilk.StealSpec, p ProbeRecord) bool {
 // agrees with a live run.
 func DecisionVector(spec cilk.StealSpec, probes []ProbeRecord) []bool {
 	vec := make([]bool, len(probes))
-	for i, p := range probes {
-		vec[i] = evalProbe(spec, p)
+	for i, ci := range contInfos(probes) {
+		vec[i] = spec.ShouldSteal(ci)
 	}
 	return vec
 }
@@ -187,17 +195,19 @@ func BuildTrie(specs []cilk.StealSpec, probes []ProbeRecord) *Trie {
 // returns a trie whose root is unexpanded: subtree structure materializes
 // through Expand only when a sweep unit actually walks it. Each member is
 // held only while its bitset is packed, so a 10^4+-spec family never
-// exists as a slice.
+// exists as a slice. The probes' ContInfos are built once per trie, not
+// once per specification.
 func BuildTrieIndexed(count int, at func(int) cilk.StealSpec, probes []ProbeRecord) *Trie {
 	t := &Trie{Probes: probes}
 	groupOf := make(map[string]int)
 	nb := (len(probes) + 7) / 8
+	cis := contInfos(probes)
 	for i := 0; i < count; i++ {
 		spec := at(i)
 		bits := make([]byte, nb)
 		first := len(probes) + 1
-		for j, p := range probes {
-			if evalProbe(spec, p) {
+		for j := range cis {
+			if spec.ShouldSteal(cis[j]) {
 				bits[j>>3] |= 1 << (j & 7)
 				if first > len(probes) {
 					first = j + 1

@@ -171,3 +171,23 @@ func TestProbeRecordMatches(t *testing.T) {
 		t.Error("nil frame accepted")
 	}
 }
+
+// BuildTrieIndexed's allocations per specification must not grow with
+// the probe count: each probe's ContInfo is built once per trie, so a
+// specification costs its bitset and group key whatever the probe count.
+func TestBuildTrieIndexedAllocsPerSpec(t *testing.T) {
+	const count = 64
+	specs := make([]cilk.StealSpec, count)
+	for i := range specs {
+		specs[i] = sched.Single{A: 1 + i%2}
+	}
+	at := func(i int) cilk.StealSpec { return specs[i] }
+	perSpec := func(k int) float64 {
+		probes := flatProbes(k)
+		return testing.AllocsPerRun(20, func() { BuildTrieIndexed(count, at, probes) }) / count
+	}
+	small, large := perSpec(16), perSpec(256)
+	if large-small >= 1 {
+		t.Fatalf("allocs per spec grew from %.2f at 16 probes to %.2f at 256", small, large)
+	}
+}

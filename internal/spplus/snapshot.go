@@ -9,20 +9,22 @@ import (
 )
 
 // Snapshot is an immutable point-in-time copy of a Detector's full state:
-// the frame stack with its S and P bags, the disjoint-set forest, the
-// lineage and race report, the four shadow spaces (copy-on-write, so the
-// cost is O(pages materialized), not O(addresses)), and the scalar
-// counters. One snapshot can seed any number of detectors via Restore —
-// the fork operation behind the prefix-sharing coverage sweep.
+// the bag table (forest, bags and free list), the frame stack and P
+// stacks, the lineage and race report, the four shadow spaces
+// (copy-on-write, so the cost is O(pages materialized), not
+// O(addresses)), and the scalar counters. Every part but the shadows is a
+// flat slice, so taking and restoring a snapshot are plain slice copies.
+// One snapshot can seed any number of detectors via Restore — the fork
+// operation behind the prefix-sharing coverage sweep.
 //
 // Snapshots may only be taken at a continuation-probe boundary (outside
 // view-aware sections and reduce strands): that is where the sweep's trie
 // branch points live, and it is the only place the detector has no
 // transient mid-operation state.
 type Snapshot struct {
-	forest  *dsu.Forest
-	stack   []*frameRec
-	current int // index into stack, -1 when no frame has entered
+	bags   dsu.Bags[bagAttr]
+	stack  []frameRec
+	pstack []dsu.Bag
 
 	reader   *mem.ShadowSnap
 	writer   *mem.ShadowSnap
@@ -35,49 +37,6 @@ type Snapshot struct {
 	events int64
 }
 
-// cloneBag returns the memoized deep copy of b (nil-safe).
-func cloneBag(memo map[*bag]*bag, b *bag) *bag {
-	if b == nil {
-		return nil
-	}
-	if c, ok := memo[b]; ok {
-		return c
-	}
-	c := &bag{kind: b.kind, vid: b.vid, root: b.root}
-	memo[b] = c
-	return c
-}
-
-// cloneFrames deep-copies a frame stack, memoizing bag copies so shared
-// references stay shared on the other side.
-func cloneFrames(stack []*frameRec, memo map[*bag]*bag) []*frameRec {
-	return cloneFramesInto(make([]*frameRec, 0, len(stack)), stack, memo)
-}
-
-// cloneFramesInto is cloneFrames appending into a recycled slice.
-func cloneFramesInto(out []*frameRec, stack []*frameRec, memo map[*bag]*bag) []*frameRec {
-	for _, fr := range stack {
-		nfr := &frameRec{id: fr.id, label: fr.label, elem: fr.elem, s: cloneBag(memo, fr.s)}
-		nfr.pstack = make([]*bag, len(fr.pstack))
-		for j, b := range fr.pstack {
-			nfr.pstack[j] = cloneBag(memo, b)
-		}
-		out = append(out, nfr)
-	}
-	return out
-}
-
-// remapPayloads rewrites every *bag payload of f through the memo so the
-// forest references the cloned bags, never the source detector's.
-func remapPayloads(f *dsu.Forest, memo map[*bag]*bag) {
-	payloads := f.Payloads()
-	for i, p := range payloads {
-		if b, ok := p.(*bag); ok {
-			payloads[i] = cloneBag(memo, b)
-		}
-	}
-}
-
 // Snapshot captures the detector's state. It panics if called inside a
 // view-aware section or reduce strand — the sweep only snapshots at
 // continuation probes, where neither can be live.
@@ -86,14 +45,14 @@ func (d *Detector) Snapshot() *Snapshot {
 }
 
 // SnapshotInto is Snapshot reusing a retired snapshot's containers: the
-// frame-stack slice, the forest's backing arrays, the shadow page maps and
-// the report's storage. The work-stealing sweep refcounts handed-off
-// snapshots and, once every seeded thief has restored, recycles the struct
-// through a per-worker free list — the capture itself then allocates only
-// the cloned bags. Passing nil allocates fresh, exactly like Snapshot.
-// Recycling is safe because Restore copies state out of the snapshot; the
-// only aliased storage is the copy-on-write page buffers, which are
-// immutable once shared and are never reused here.
+// bag table, frame and P-stack slices, the shadow page maps and the
+// report's storage. The work-stealing sweep refcounts handed-off snapshots
+// and, once every seeded thief has restored, recycles the struct through a
+// per-worker free list, so a capture into a recycled snapshot allocates
+// nothing once its slices have grown. Passing nil allocates fresh, exactly
+// like Snapshot. Recycling is safe because Restore copies state out of the
+// snapshot; the only aliased storage is the copy-on-write page buffers,
+// which are immutable once shared and are never reused here.
 func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 	if d.vaDepth != 0 || d.inReduce {
 		panic(core.Violatef("spplus", core.StreamState, d.currentFrameID(),
@@ -103,15 +62,9 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
 	}
-	memo := make(map[*bag]*bag)
-	s.stack = cloneFramesInto(s.stack[:0], d.stack, memo)
-	s.current = -1
-	if s.forest == nil {
-		s.forest = d.forest.Clone()
-	} else {
-		s.forest.CopyFrom(d.forest)
-	}
-	remapPayloads(s.forest, memo)
+	s.bags.CopyFrom(&d.bags)
+	s.stack = append(s.stack[:0], d.stack...)
+	s.pstack = append(s.pstack[:0], d.pstack...)
 	s.reader = d.reader.SnapshotInto(s.reader)
 	s.writer = d.writer.SnapshotInto(s.writer)
 	s.readerEv = d.readerEv.SnapshotInto(s.readerEv)
@@ -123,11 +76,6 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 	}
 	s.counts = d.counts
 	s.events = d.events
-	for i, fr := range d.stack {
-		if fr == d.current {
-			s.current = i
-		}
-	}
 	s.lin.CopyFrom(&d.lin)
 	return s
 }
@@ -135,16 +83,12 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 // Restore replaces the detector's state with an independent copy of the
 // snapshot's, as if the detector had processed exactly the event prefix
 // the snapshot was taken after. Restoring reuses the detector's existing
-// allocations where possible, so pooled detectors fork cheaply.
+// allocations, so a pooled detector forks without allocating once its
+// slices have grown.
 func (d *Detector) Restore(s *Snapshot) {
-	memo := make(map[*bag]*bag)
-	d.stack = append(d.stack[:0], cloneFrames(s.stack, memo)...)
-	d.forest.CopyFrom(s.forest)
-	remapPayloads(d.forest, memo)
-	d.current = nil
-	if s.current >= 0 {
-		d.current = d.stack[s.current]
-	}
+	d.bags.CopyFrom(&s.bags)
+	d.stack = append(d.stack[:0], s.stack...)
+	d.pstack = append(d.pstack[:0], s.pstack...)
 	d.reader.Restore(s.reader)
 	d.writer.Restore(s.writer)
 	d.readerEv.Restore(s.readerEv)
@@ -162,19 +106,19 @@ func (d *Detector) Restore(s *Snapshot) {
 }
 
 // Reset returns the detector to its freshly constructed state, keeping
-// allocated capacity (forest slices, shadow pages, lineage and report
-// backing arrays) so pooled sweep units reuse memory across runs. The
+// allocated capacity (bag table and stack slices, shadow pages, lineage
+// and report backing arrays) so pooled sweep units reuse memory across runs. The
 // shadow PagesCopied counters survive as lifetime totals.
 func (d *Detector) Reset() {
-	d.forest.Reset()
+	d.bags.Reset()
 	d.stack = d.stack[:0]
+	d.pstack = d.pstack[:0]
 	d.reader.Reset()
 	d.writer.Reset()
 	d.readerEv.Reset()
 	d.writerEv.Reset()
 	d.lin.Reset()
 	d.report.Reset()
-	d.current = nil
 	d.vaDepth = 0
 	d.vaOp = 0
 	d.vaReducer = nil
@@ -204,8 +148,8 @@ func (d *Detector) PagesPooled() int {
 func (d *Detector) Events() int64 { return d.events }
 
 func (d *Detector) currentFrameID() cilk.FrameID {
-	if d.current == nil {
+	if len(d.stack) == 0 {
 		return cilk.NoFrame
 	}
-	return d.current.id
+	return d.top().id
 }

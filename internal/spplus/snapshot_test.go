@@ -2,6 +2,7 @@ package spplus
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cilk"
@@ -74,6 +75,64 @@ func TestSnapshotRestoreResumesExactly(t *testing.T) {
 		if fork.Stats() != ref.Stats() {
 			t.Errorf("fork %d stats = %+v, want %+v", forkAt, fork.Stats(), ref.Stats())
 		}
+	}
+}
+
+// oddSteals steals every odd-numbered continuation, a schedule between
+// NoSteals and StealAll that leaves several views open per sync block.
+type oddSteals struct{}
+
+func (oddSteals) ShouldSteal(ci cilk.ContInfo) bool { return ci.Seq%2 == 1 }
+func (oddSteals) Order() cilk.ReduceOrder           { return cilk.ReduceAtSync }
+
+// The pooled counterpart of TestSnapshotRestoreResumesExactly: at every
+// probe of random programs, the snapshot is restored into one pooled
+// detector that has just run a different unit — so its bag table, free
+// list, stacks and shadows are dirty — and fed the suffix. It must end
+// exactly where a fresh live run ends.
+func TestPooledRestoreResumesExactly(t *testing.T) {
+	pool := New()
+	cilk.Run(progs.Random(mem.NewAllocator(), progs.RandomOpts{Seed: 999, MaxDepth: 5, MonoidStores: true}),
+		cilk.Config{Spec: cilk.StealAll{}, Hooks: pool})
+	forks := 0
+	for seed := int64(1); seed <= 25; seed++ {
+		prog := func() func(*cilk.Ctx) {
+			return progs.Random(mem.NewAllocator(), progs.RandomOpts{Seed: seed, MonoidStores: true})
+		}
+		for _, spec := range []cilk.StealSpec{cilk.StealAll{}, oddSteals{}} {
+			ref := New()
+			cilk.Run(prog(), cilk.Config{Spec: spec, Hooks: ref})
+
+			donor := New()
+			gate := cilk.NewGate(donor, true)
+			var snaps []*Snapshot
+			cilk.Run(prog(), cilk.Config{
+				Hooks: gate,
+				Spec: cilk.NewGatedSpec(spec, gate, 0, func(cilk.ContInfo) {
+					snaps = append(snaps, donor.Snapshot())
+				}),
+			})
+			for i, snap := range snaps {
+				forkAt := i + 1
+				pool.Restore(snap)
+				fgate := cilk.NewGate(pool, false)
+				cilk.Run(prog(), cilk.Config{Hooks: fgate, Spec: cilk.NewGatedSpec(spec, fgate, forkAt, nil)})
+				forks++
+				switch {
+				case !slices.Equal(pool.Report().Races(), ref.Report().Races()):
+					t.Fatalf("seed %d %T fork %d races:\n%v\nwant:\n%v", seed, spec, forkAt, pool.Report().Races(), ref.Report().Races())
+				case pool.Report().Total() != ref.Report().Total():
+					t.Fatalf("seed %d %T fork %d total = %d, want %d", seed, spec, forkAt, pool.Report().Total(), ref.Report().Total())
+				case pool.EventCounts() != ref.EventCounts():
+					t.Fatalf("seed %d %T fork %d counts = %+v, want %+v", seed, spec, forkAt, pool.EventCounts(), ref.EventCounts())
+				case pool.Stats() != ref.Stats():
+					t.Fatalf("seed %d %T fork %d stats = %+v, want %+v", seed, spec, forkAt, pool.Stats(), ref.Stats())
+				}
+			}
+		}
+	}
+	if forks < 100 {
+		t.Fatalf("only %d forks checked; the random programs lost their probes", forks)
 	}
 }
 

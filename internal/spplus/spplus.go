@@ -44,35 +44,37 @@ const (
 	kindP
 )
 
-// bag is a disjoint set with a kind and a view ID. A P bag's view ID is set
-// at creation and preserved across unions into it, mirroring Figure 6's
+// bagAttr is a bag's kind and view ID. A P bag's view ID is set at
+// creation and preserved across unions into it, mirroring Figure 6's
 // MakeBag note.
-type bag struct {
+type bagAttr struct {
 	kind bagKind
 	vid  cilk.ViewID
-	root dsu.Elem
 }
 
+// frameRec is one function on the call stack. Its P stack is the run
+// pstack[p:] of the detector's shared P-stack slice, ending where the next
+// frame's begins: only the top frame's P stack ever changes.
 type frameRec struct {
-	id     cilk.FrameID
-	label  string
-	elem   dsu.Elem
-	s      *bag
-	pstack []*bag
+	id    cilk.FrameID
+	label string
+	elem  dsu.Elem
+	s     dsu.Bag
+	p     int
 }
 
-func (r *frameRec) topP() *bag { return r.pstack[len(r.pstack)-1] }
-
-// Detector runs SP+ over the cilk event stream of one run.
+// Detector runs SP+ over the cilk event stream of one run. Its bags, frame
+// records and P stacks live in flat slices, so a snapshot is a set of
+// slice copies and a warmed detector allocates nothing per frame.
 type Detector struct {
-	forest *dsu.Forest
-	stack  []*frameRec
+	bags   dsu.Bags[bagAttr]
+	stack  []frameRec
+	pstack []dsu.Bag // every frame's P stack, bottom frame first
 	reader *mem.Shadow
 	writer *mem.Shadow
 	lin    core.Lineage
 	report core.Report
 
-	current *frameRec
 	// view-aware section state
 	vaDepth   int
 	vaOp      cilk.ViewOp
@@ -90,6 +92,10 @@ type Detector struct {
 	inReduce   bool
 	reduceVID  cilk.ViewID
 	reduceElem dsu.Elem
+	// reduceLabel caches reduceOf+"/reduce", the lineage label of a reduce
+	// invocation in a frame labelled reduceOf: a frame reduces once per
+	// stolen view, and the label need not be rebuilt each time.
+	reduceOf, reduceLabel string
 
 	// readerEv/writerEv shadow the same locations with the detector-relative
 	// event ordinal of the recorded access, so a race report can point back
@@ -105,7 +111,6 @@ type Detector struct {
 // New returns a fresh SP+ detector.
 func New() *Detector {
 	return &Detector{
-		forest:   dsu.NewForest(256),
 		reader:   mem.NewShadow(int32(dsu.None)),
 		writer:   mem.NewShadow(int32(dsu.None)),
 		readerEv: mem.NewShadow(0),
@@ -119,33 +124,11 @@ func (d *Detector) Name() string { return "sp+" }
 // Report implements core.Detector.
 func (d *Detector) Report() *core.Report { return &d.report }
 
-func (d *Detector) addToBag(b *bag, e dsu.Elem) {
-	d.counts.BagOps++
-	if b.root == dsu.None {
-		b.root = e
-		d.forest.SetPayload(e, b)
-		return
-	}
-	b.root = d.forest.Union(b.root, e)
-}
+// top is the executing frame; the pointer is valid until the stack grows.
+func (d *Detector) top() *frameRec { return &d.stack[len(d.stack)-1] }
 
-func (d *Detector) unionInto(dst, src *bag) {
-	if src.root == dsu.None {
-		return
-	}
-	d.counts.BagOps++
-	if dst.root == dsu.None {
-		dst.root = src.root
-		d.forest.SetPayload(src.root, dst)
-	} else {
-		dst.root = d.forest.Union(dst.root, src.root)
-	}
-	src.root = dsu.None
-}
-
-func (d *Detector) top() *frameRec { return d.stack[len(d.stack)-1] }
-
-func (d *Detector) bagOf(e dsu.Elem) *bag { return d.forest.Payload(e).(*bag) }
+// topP is the executing frame's top P bag.
+func (d *Detector) topP() dsu.Bag { return d.pstack[len(d.pstack)-1] }
 
 // ProgramStart implements cilk.Hooks.
 func (d *Detector) ProgramStart(*cilk.Frame) {}
@@ -160,25 +143,21 @@ func (d *Detector) FrameEnter(f *cilk.Frame) {
 	d.events++
 	d.counts.FrameEnters++
 	var inherit cilk.ViewID
-	if len(d.stack) > 0 {
-		inherit = d.top().topP().vid
-	}
-	rec := &frameRec{id: f.ID, label: f.Label}
-	rec.s = &bag{kind: kindS, vid: inherit, root: dsu.None}
-	rec.pstack = []*bag{{kind: kindP, vid: inherit, root: dsu.None}}
-	rec.elem = d.forest.MakeSet(nil)
-	d.addToBag(rec.s, rec.elem)
 	parent := core.NoParent
 	if len(d.stack) > 0 {
+		inherit = d.bags.Attr(d.topP()).vid
 		parent = int32(d.top().elem)
 	}
-	d.lin.Add(int32(rec.elem), f.ID, f.Label, parent)
-	d.stack = append(d.stack, rec)
-	d.current = rec
+	s := d.bags.New(bagAttr{kind: kindS, vid: inherit})
+	elem := d.bags.Add(s)
+	d.stack = append(d.stack, frameRec{id: f.ID, label: f.Label, elem: elem, s: s, p: len(d.pstack)})
+	d.pstack = append(d.pstack, d.bags.New(bagAttr{kind: kindP, vid: inherit}))
+	d.lin.Add(int32(elem), f.ID, f.Label, parent)
 }
 
 // FrameReturn implements "spawned G returns" (Top(F.P) ∪= G.S) and
-// "called G returns" (F.S ∪= G.S).
+// "called G returns" (F.S ∪= G.S). G's bags go back to the table; its P
+// bag keeps its slot if a malformed stream left it non-empty.
 func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 	d.events++
 	d.counts.FrameReturns++
@@ -186,27 +165,31 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 		panic(core.Violatef("spplus", core.StreamOrder, g.ID,
 			"return of frame %d with %d frames on the stack", g.ID, len(d.stack)))
 	}
-	grec := d.top()
+	grec := *d.top()
 	if grec.id != g.ID {
 		panic(core.Violatef("spplus", core.StreamOrder, g.ID,
 			"event order violation: return %d, top %d", g.ID, grec.id))
 	}
-	if len(grec.pstack) != 1 {
+	if n := len(d.pstack) - grec.p; n != 1 {
 		panic(core.Violatef("spplus", core.StreamState, g.ID,
-			"%v returned with %d P bags", g, len(grec.pstack)))
+			"%v returned with %d P bags", g, n))
 	}
+	gp := d.pstack[grec.p]
 	d.stack = d.stack[:len(d.stack)-1]
-	frec := d.top()
+	d.pstack = d.pstack[:grec.p]
 	if g.Spawned {
-		d.unionInto(frec.topP(), grec.s)
+		d.bags.UnionInto(d.topP(), grec.s)
 	} else {
-		d.unionInto(frec.s, grec.s)
+		d.bags.UnionInto(d.top().s, grec.s)
 	}
-	d.current = frec
+	d.bags.Release(grec.s)
+	d.bags.Release(gp)
 }
 
 // Sync implements "F syncs": the single remaining P bag's contents move
-// into F.S, and a fresh P bag with F.S's view ID replaces it.
+// into F.S, and the emptied bag serves as F's fresh P bag. It already
+// carries F.S's view ID: the bottom P bag is made with it at FrameEnter and
+// no reduce ever removes it.
 func (d *Detector) Sync(f *cilk.Frame) {
 	d.events++
 	d.counts.Syncs++
@@ -214,12 +197,11 @@ func (d *Detector) Sync(f *cilk.Frame) {
 		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "sync before any frame entered"))
 	}
 	rec := d.top()
-	if len(rec.pstack) != 1 {
+	if n := len(d.pstack) - rec.p; n != 1 {
 		panic(core.Violatef("spplus", core.StreamState, f.ID,
-			"sync with %d P bags; reduces must precede sync", len(rec.pstack)))
+			"sync with %d P bags; reduces must precede sync", n))
 	}
-	d.unionInto(rec.s, rec.pstack[0])
-	rec.pstack[0] = &bag{kind: kindP, vid: rec.s.vid, root: dsu.None}
+	d.bags.UnionInto(rec.s, d.pstack[rec.p])
 }
 
 // ContinuationStolen implements "F executes a stolen continuation": push a
@@ -230,8 +212,7 @@ func (d *Detector) ContinuationStolen(f *cilk.Frame, newVID cilk.ViewID) {
 	if len(d.stack) == 0 {
 		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "stolen continuation before any frame entered"))
 	}
-	rec := d.top()
-	rec.pstack = append(rec.pstack, &bag{kind: kindP, vid: newVID, root: dsu.None})
+	d.pstack = append(d.pstack, d.bags.New(bagAttr{kind: kindP, vid: newVID}))
 }
 
 // ReduceStart implements "F executes Reduce": the dominated view's P bag is
@@ -248,8 +229,8 @@ func (d *Detector) ReduceStart(f *cilk.Frame, keepVID, dieVID cilk.ViewID) {
 	}
 	rec := d.top()
 	idx := -1
-	for i := len(rec.pstack) - 1; i > 0; i-- {
-		if rec.pstack[i].vid == dieVID && rec.pstack[i-1].vid == keepVID {
+	for i := len(d.pstack) - 1; i > rec.p; i-- {
+		if d.bags.Attr(d.pstack[i]).vid == dieVID && d.bags.Attr(d.pstack[i-1]).vid == keepVID {
 			idx = i
 			break
 		}
@@ -258,15 +239,19 @@ func (d *Detector) ReduceStart(f *cilk.Frame, keepVID, dieVID cilk.ViewID) {
 		panic(core.Violatef("spplus", core.StreamState, f.ID,
 			"reduce of unknown view pair (%d,%d)", keepVID, dieVID))
 	}
-	d.unionInto(rec.pstack[idx-1], rec.pstack[idx])
-	rec.pstack = append(rec.pstack[:idx], rec.pstack[idx+1:]...)
+	keep, die := d.pstack[idx-1], d.pstack[idx]
+	d.bags.UnionInto(keep, die)
+	d.bags.Release(die)
+	d.pstack = append(d.pstack[:idx], d.pstack[idx+1:]...)
 	d.inReduce = true
 	d.reduceVID = keepVID
 	// The reduce invocation's own ID joins the merged bag: in series with
 	// everything the reduction joins, parallel to the frame's other views.
-	d.reduceElem = d.forest.MakeSet(nil)
-	d.addToBag(rec.pstack[idx-1], d.reduceElem)
-	d.lin.Add(int32(d.reduceElem), f.ID, f.Label+"/reduce", int32(rec.elem))
+	d.reduceElem = d.bags.Add(keep)
+	if d.reduceLabel == "" || d.reduceOf != f.Label {
+		d.reduceOf, d.reduceLabel = f.Label, f.Label+"/reduce"
+	}
+	d.lin.Add(int32(d.reduceElem), f.ID, d.reduceLabel, int32(rec.elem))
 }
 
 // ReduceEnd implements cilk.Hooks.
@@ -290,6 +275,11 @@ func (d *Detector) ViewAwareBegin(f *cilk.Frame, op cilk.ViewOp, r *cilk.Reducer
 func (d *Detector) ViewAwareEnd(f *cilk.Frame, op cilk.ViewOp, r *cilk.Reducer) {
 	d.events++
 	d.vaDepth--
+	if d.vaDepth == 0 {
+		// Leave no residue of the section behind: a race on a later
+		// view-oblivious access records no ViewOp, live or restored.
+		d.vaOp, d.vaReducer = 0, nil
+	}
 }
 
 // ReducerCreate implements cilk.Hooks; reducer-reads are the Peer-Set
@@ -305,7 +295,7 @@ func (d *Detector) currentVID() cilk.ViewID {
 	if d.inReduce {
 		return d.reduceVID
 	}
-	return d.current.topP().vid
+	return d.bags.Attr(d.topP()).vid
 }
 
 // curElem is the ID recorded in the shadow spaces for the executing
@@ -315,7 +305,7 @@ func (d *Detector) curElem() dsu.Elem {
 	if d.inReduce {
 		return d.reduceElem
 	}
-	return d.current.elem
+	return d.top().elem
 }
 
 // race reports a determinacy race at a between the prior access of
@@ -342,7 +332,7 @@ func (d *Detector) race(a mem.Addr, prev dsu.Elem, firstOp, secondOp core.Access
 func (d *Detector) Load(f *cilk.Frame, a mem.Addr) {
 	d.events++
 	d.counts.Loads++
-	if d.current == nil {
+	if len(d.stack) == 0 {
 		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "memory access before any frame entered"))
 	}
 	d.counts.ShadowLookups += 2
@@ -357,7 +347,7 @@ func (d *Detector) Load(f *cilk.Frame, a mem.Addr) {
 func (d *Detector) Store(f *cilk.Frame, a mem.Addr) {
 	d.events++
 	d.counts.Stores++
-	if d.current == nil {
+	if len(d.stack) == 0 {
 		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "memory access before any frame entered"))
 	}
 	d.counts.ShadowLookups += 2
@@ -369,24 +359,24 @@ func (d *Detector) Store(f *cilk.Frame, a mem.Addr) {
 }
 
 func (d *Detector) loadOblivious(a mem.Addr) {
-	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None && d.bagOf(w).kind == kindP {
+	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None && d.bags.AttrOf(w).kind == kindP {
 		d.race(a, w, core.OpWrite, core.OpRead, d.writerEv, "writer in P-bag")
 	}
-	if r := dsu.Elem(d.reader.Get(a)); r == dsu.None || d.bagOf(r).kind == kindS {
+	if r := dsu.Elem(d.reader.Get(a)); r == dsu.None || d.bags.AttrOf(r).kind == kindS {
 		d.reader.Set(a, int32(d.curElem()))
 		d.readerEv.Set(a, int32(d.events))
 	}
 }
 
 func (d *Detector) storeOblivious(a mem.Addr) {
-	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None && d.bagOf(r).kind == kindP {
+	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None && d.bags.AttrOf(r).kind == kindP {
 		d.race(a, r, core.OpRead, core.OpWrite, d.readerEv, "reader in P-bag")
 	}
 	w := dsu.Elem(d.writer.Get(a))
-	if w != dsu.None && d.bagOf(w).kind == kindP {
+	if w != dsu.None && d.bags.AttrOf(w).kind == kindP {
 		d.race(a, w, core.OpWrite, core.OpWrite, d.writerEv, "writer in P-bag")
 	}
-	if w == dsu.None || d.bagOf(w).kind == kindS {
+	if w == dsu.None || d.bags.AttrOf(w).kind == kindS {
 		d.writer.Set(a, int32(d.curElem()))
 		d.writerEv.Set(a, int32(d.events))
 	}
@@ -395,13 +385,13 @@ func (d *Detector) storeOblivious(a mem.Addr) {
 func (d *Detector) loadAware(a mem.Addr) {
 	vid := d.currentVID()
 	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None {
-		if b := d.bagOf(w); b.kind == kindP && b.vid != vid {
+		if b := d.bags.AttrOf(w); b.kind == kindP && b.vid != vid {
 			d.race(a, w, core.OpWrite, core.OpRead, d.writerEv, "writer on parallel view")
 		}
 	}
 	r := dsu.Elem(d.reader.Get(a))
-	if r == dsu.None || d.bagOf(r).kind == kindS ||
-		(d.inReduce && d.bagOf(r).vid == vid) {
+	if r == dsu.None || d.bags.AttrOf(r).kind == kindS ||
+		(d.inReduce && d.bags.AttrOf(r).vid == vid) {
 		d.reader.Set(a, int32(d.curElem()))
 		d.readerEv.Set(a, int32(d.events))
 	}
@@ -410,18 +400,18 @@ func (d *Detector) loadAware(a mem.Addr) {
 func (d *Detector) storeAware(a mem.Addr) {
 	vid := d.currentVID()
 	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None {
-		if b := d.bagOf(r); b.kind == kindP && b.vid != vid {
+		if b := d.bags.AttrOf(r); b.kind == kindP && b.vid != vid {
 			d.race(a, r, core.OpRead, core.OpWrite, d.readerEv, "reader on parallel view")
 		}
 	}
 	w := dsu.Elem(d.writer.Get(a))
 	if w != dsu.None {
-		if b := d.bagOf(w); b.kind == kindP && b.vid != vid {
+		if b := d.bags.AttrOf(w); b.kind == kindP && b.vid != vid {
 			d.race(a, w, core.OpWrite, core.OpWrite, d.writerEv, "writer on parallel view")
 		}
 	}
-	if w == dsu.None || d.bagOf(w).kind == kindS ||
-		(d.inReduce && d.bagOf(w).vid == vid) {
+	if w == dsu.None || d.bags.AttrOf(w).kind == kindS ||
+		(d.inReduce && d.bags.AttrOf(w).vid == vid) {
 		d.writer.Set(a, int32(d.curElem()))
 		d.writerEv.Set(a, int32(d.events))
 	}
@@ -435,9 +425,13 @@ var (
 // Stats implements core.StatsProvider: the disjoint-set accounting behind
 // the O((T+Mτ)·α(v,v)) bound of Theorem 5.
 func (d *Detector) Stats() core.Stats {
-	finds, unions := d.forest.Stats()
-	return core.Stats{Elems: d.forest.Len(), Finds: finds, Unions: unions}
+	finds, unions := d.bags.Stats()
+	return core.Stats{Elems: d.bags.Len(), Finds: finds, Unions: unions}
 }
 
 // EventCounts implements core.EventCountsProvider.
-func (d *Detector) EventCounts() obs.EventCounts { return d.counts }
+func (d *Detector) EventCounts() obs.EventCounts {
+	c := d.counts
+	c.BagOps = d.bags.Ops()
+	return c
+}
