@@ -92,7 +92,6 @@ type Frame struct {
 
 	everSpawned bool
 	slots       []*viewSlot // view-slot stack; slots[0] is inherited
-	slots0      [4]*viewSlot
 	ctx         Ctx
 }
 
@@ -118,6 +117,10 @@ func (f *Frame) String() string {
 // ContInfo describes one continuation point (the code after a cilk_spawn)
 // that a steal specification may choose to steal.
 type ContInfo struct {
+	// Frame is the spawning frame. It is valid only during the
+	// ShouldSteal (or ReducesAfterReturn) call that receives it, see the
+	// Hooks lifetime contract; the ContInfos in Result.Steals have it
+	// cleared.
 	Frame     *Frame
 	Label     string // the spawning frame's label
 	Depth     int    // the spawning frame's Depth
@@ -203,43 +206,36 @@ func (StealAll) ShouldSteal(ContInfo) bool { return true }
 func (s StealAll) Order() ReduceOrder { return s.Reduce }
 
 // viewSlot holds, for one simulated steal (or for the leftmost context),
-// the views of every reducer updated in that context. Slots are created
+// the views of every reducer updated in that context, in first-set order —
+// the deterministic order reductions visit them in. Slots are created
 // empty; identity views materialize lazily on the first Update, mirroring
 // the runtime optimization described in §1 and §2.
 type viewSlot struct {
 	vid   ViewID
-	views map[*Reducer]any
-	order []*Reducer // deterministic iteration order for reductions
+	views []viewEntry
 }
 
-func newViewSlot(vid ViewID) *viewSlot {
-	return &viewSlot{vid: vid}
+// viewEntry is one reducer's view within a slot.
+type viewEntry struct {
+	r *Reducer
+	v any
 }
 
 func (s *viewSlot) get(r *Reducer) (any, bool) {
-	if s.views == nil {
-		return nil, false
+	for i := range s.views {
+		if s.views[i].r == r {
+			return s.views[i].v, true
+		}
 	}
-	v, ok := s.views[r]
-	return v, ok
+	return nil, false
 }
 
 func (s *viewSlot) set(r *Reducer, v any) {
-	if s.views == nil {
-		s.views = make(map[*Reducer]any)
-	}
-	if _, ok := s.views[r]; !ok {
-		s.order = append(s.order, r)
-	}
-	s.views[r] = v
-}
-
-func (s *viewSlot) delete(r *Reducer) {
-	delete(s.views, r)
-	for i, rr := range s.order {
-		if rr == r {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
+	for i := range s.views {
+		if s.views[i].r == r {
+			s.views[i].v = v
+			return
 		}
 	}
+	s.views = append(s.views, viewEntry{r, v})
 }

@@ -35,10 +35,17 @@ type Result struct {
 	Updates uint64 // reducer Update operations
 }
 
-// Executor runs one program serially under one Config. A fresh Executor is
-// required per run; Run is the usual entry point.
+// Executor runs programs serially, one at a time. An Executor may be
+// reused: each Run resets every per-run field, even after a run that
+// panicked, but keeps the frame stack, the free view slots, the reducer
+// handles and the capacity of Result.Steals, so a warmed Executor runs a
+// program without allocating. Frames and reducer handles belong to the
+// run that made them: the next Run on the same Executor recycles them, as
+// it does the Steals slice of the previous Result. An Executor is not safe
+// for concurrent use.
 type Executor struct {
 	spec     StealSpec
+	rs       ReduceScheduler // spec as a ReduceScheduler, nil if it is not one
 	order    ReduceOrder
 	hooks    Hooks
 	hasHooks bool
@@ -50,20 +57,38 @@ type Executor struct {
 	viewAware  int
 	eagerViews bool
 	res        Result
+
+	// frames[d] is the frame at depth d: a serial depth-first execution
+	// has at most one live frame per depth, so newFrame resets it in place.
+	frames []*Frame
+	// freeSlots holds view slots emptied by reductions and runs, reused
+	// by later steals.
+	freeSlots []*viewSlot
 }
 
-// Run executes prog under cfg and returns the run summary.
+// Run executes prog under cfg on a fresh Executor and returns the run
+// summary.
 func Run(prog func(*Ctx), cfg Config) *Result {
-	ex := &Executor{spec: cfg.Spec, hooks: cfg.Hooks, eagerViews: cfg.EagerViews}
+	res := new(Executor).Run(prog, cfg)
+	return &res
+}
+
+// Run executes prog under cfg and returns the run summary. The summary's
+// Steals slice is reused by the next Run on ex.
+func (ex *Executor) Run(prog func(*Ctx), cfg Config) Result {
+	ex.spec, ex.hooks, ex.eagerViews = cfg.Spec, cfg.Hooks, cfg.EagerViews
 	if ex.spec == nil {
 		ex.spec = NoSteals{}
 	}
+	ex.rs, _ = ex.spec.(ReduceScheduler)
 	ex.order = ex.spec.Order()
 	ex.hasHooks = cfg.Hooks != nil
+	ex.nextFrame, ex.nextView, ex.contSeq, ex.viewAware = 0, 0, 0, 0
+	ex.reducers = ex.reducers[:0]
+	ex.res = Result{Steals: ex.res.Steals[:0]}
 
 	root := ex.newFrame(nil, "main", false)
-	root.slots0[0] = newViewSlot(0)
-	root.slots = root.slots0[:1]
+	root.slots = append(root.slots, ex.newSlot(0))
 	if ex.hasHooks {
 		ex.hooks.ProgramStart(root)
 		ex.hooks.FrameEnter(root)
@@ -73,27 +98,55 @@ func Run(prog func(*Ctx), cfg Config) *Result {
 	if ex.hasHooks {
 		ex.hooks.ProgramEnd(root)
 	}
-	res := ex.res
-	return &res
+	ex.freeSlot(root.slots[0])
+	return ex.res
 }
 
+// newFrame resets the frame at the child's depth in place and returns it.
+// Its slot stack keeps its capacity. Every field is reset field by field,
+// which is cheaper than copying a whole Frame over it.
 func (ex *Executor) newFrame(parent *Frame, label string, spawned bool) *Frame {
-	f := &Frame{
-		ID:      ex.nextFrame,
-		Parent:  parent,
-		Label:   label,
-		Spawned: spawned,
+	d := 0
+	if parent != nil {
+		d = parent.Depth + 1
 	}
+	if d == len(ex.frames) {
+		f := new(Frame)
+		f.ctx = Ctx{ex: ex, frame: f}
+		ex.frames = append(ex.frames, f)
+	}
+	f := ex.frames[d]
+	f.ID, f.Parent, f.Label, f.Spawned, f.Depth = ex.nextFrame, parent, label, spawned, d
+	f.SyncBlock, f.LocalSpawns, f.TotalSpawns, f.AncestorSpawns = 0, 0, 0, 0
+	f.everSpawned = false
+	f.slots = f.slots[:0]
 	ex.nextFrame++
 	ex.res.Frames++
 	if parent != nil {
-		f.Depth = parent.Depth + 1
 		f.AncestorSpawns = parent.AncestorSpawns + parent.LocalSpawns
-		f.slots0[0] = parent.top()
-		f.slots = f.slots0[:1]
+		f.slots = append(f.slots, parent.top())
 	}
-	f.ctx = Ctx{ex: ex, frame: f}
 	return f
+}
+
+// newSlot returns an empty view slot for view vid, recycled when one is
+// free.
+func (ex *Executor) newSlot(vid ViewID) *viewSlot {
+	if n := len(ex.freeSlots); n > 0 {
+		s := ex.freeSlots[n-1]
+		ex.freeSlots = ex.freeSlots[:n-1]
+		s.vid = vid
+		return s
+	}
+	return &viewSlot{vid: vid}
+}
+
+// freeSlot empties s, dropping its views, and makes it available to
+// newSlot.
+func (ex *Executor) freeSlot(s *viewSlot) {
+	clear(s.views)
+	s.views = s.views[:0]
+	ex.freeSlots = append(ex.freeSlots, s)
 }
 
 // exitFrame performs the implicit sync of a returning Cilk function and
@@ -135,15 +188,16 @@ func (ex *Executor) syncFrame(f *Frame) {
 }
 
 // reducePairAt reduces the adjacent pair of views slots[i] (dominating,
-// surviving) and slots[i+1] (dominated, destroyed). The ReduceStart event
+// surviving) and slots[i+1] (dominated, destroyed: its slot goes back to
+// the free list). The ReduceStart event
 // precedes the user Reduce code so the SP+ P-bag union happens first (§6).
 func (ex *Executor) reducePairAt(f *Frame, i int) {
 	keep, die := f.slots[i], f.slots[i+1]
 	if ex.hasHooks {
 		ex.hooks.ReduceStart(f, keep.vid, die.vid)
 	}
-	for _, r := range die.order {
-		rv := die.views[r]
+	for _, e := range die.views {
+		r, rv := e.r, e.v
 		if lv, ok := keep.get(r); ok {
 			ex.beginViewAware(f, OpReduce, r)
 			nv := r.m.Combine(&f.ctx, lv, rv)
@@ -156,6 +210,7 @@ func (ex *Executor) reducePairAt(f *Frame, i int) {
 		}
 	}
 	f.slots = append(f.slots[:i+1], f.slots[i+2:]...)
+	ex.freeSlot(die)
 	ex.res.Reduces++
 	if ex.hasHooks {
 		ex.hooks.ReduceEnd(f)
@@ -223,10 +278,14 @@ func (c *Ctx) Spawn(label string, body func(*Ctx)) {
 
 	if ex.spec.ShouldSteal(ci) {
 		ex.nextView++
-		ns := newViewSlot(ex.nextView)
+		ns := ex.newSlot(ex.nextView)
 		f.slots = append(f.slots, ns)
 		ex.res.Views++
-		ex.res.Steals = append(ex.res.Steals, ci)
+		// The frame is recycled once it returns; a recorded steal keeps
+		// only the copied fields.
+		rec := ci
+		rec.Frame = nil
+		ex.res.Steals = append(ex.res.Steals, rec)
 		if ex.hasHooks {
 			ex.hooks.ContinuationStolen(f, ns.vid)
 		}
@@ -245,8 +304,8 @@ func (c *Ctx) Spawn(label string, body func(*Ctx)) {
 	// subcomputations joined. A ReduceScheduler spec dictates exactly how
 	// many pairs to collapse; the eager policy collapses all of them, as
 	// the stock runtime's opportunistic reduction would.
-	if rs, ok := ex.spec.(ReduceScheduler); ok {
-		for n := rs.ReducesAfterReturn(ci); n > 0 && len(f.slots) > 2; n-- {
+	if ex.rs != nil {
+		for n := ex.rs.ReducesAfterReturn(ci); n > 0 && len(f.slots) > 2; n-- {
 			ex.reducePairAt(f, len(f.slots)-3)
 		}
 	} else if ex.order == ReduceEager {
@@ -369,7 +428,15 @@ func (c *Ctx) NewReducer(name string, m Monoid, initial any) *Reducer {
 // the construction read participating.
 func (c *Ctx) NewReducerQuiet(name string, m Monoid, initial any) *Reducer {
 	ex := c.ex
-	r := &Reducer{Name: name, m: m, idx: len(ex.reducers)}
+	idx := len(ex.reducers)
+	var r *Reducer
+	if idx < cap(ex.reducers) {
+		r = ex.reducers[:idx+1][idx]
+	}
+	if r == nil {
+		r = new(Reducer)
+	}
+	*r = Reducer{Name: name, m: m, idx: idx}
 	ex.reducers = append(ex.reducers, r)
 	c.frame.top().set(r, initial)
 	return r

@@ -30,6 +30,15 @@ import "repro/internal/mem"
 //     come from a view-aware strand, all others from view-oblivious
 //     strands.
 //
+// Lifetime contract: a *Frame passed to a hook is valid only until that
+// frame's FrameReturn (for the root, until ProgramEnd), because the
+// executor reuses it for the next frame entered at the same depth. Its
+// Parent chain is live for as long as the frame is. A consumer that needs
+// a frame after its return keeps its ID and copied fields, never the
+// pointer; every in-tree detector keys its state by FrameID. Reducer
+// handles live until the end of the run. This mirrors the trace
+// Replayer's arena, whose frames last until its next replay.
+//
 // Threading contract: the serial executor and the trace replay engine
 // drive Hooks from a single goroutine, and the serial detectors (SP-bags,
 // SP+, Peer-Set, the depa replay detector) rely on that — their state

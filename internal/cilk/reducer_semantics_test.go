@@ -108,8 +108,8 @@ func TestTwoReducersReduceIndependently(t *testing.T) {
 }
 
 func TestViewSlotGrowthPastInlineArray(t *testing.T) {
-	// Frames embed a small inline slot array; more than four live views
-	// must spill to the heap transparently.
+	// A frame's view-slot stack grows with its live views; thirteen
+	// slots must reduce in serial order like two.
 	var got []int
 	Run(func(c *Ctx) {
 		r := c.NewReducer("l", listMonoid, []int(nil))

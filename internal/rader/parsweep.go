@@ -66,11 +66,13 @@ type sweepWorker struct {
 	deque []unitTask // [0] = shallowest (steal side), end = deepest (owner side)
 
 	// detPool recycles detectors across this worker's units; snapFree
-	// recycles retired snapshot containers for SnapshotInto. Both are
-	// owner-only — no other worker touches them.
+	// recycles retired snapshot containers for SnapshotInto; ex runs every
+	// unit, reusing its frames and view slots. All are owner-only — no
+	// other worker touches them.
 	detPool  sync.Pool
 	gate     *cilk.Gate
 	snapFree []*spplus.Snapshot
+	ex       cilk.Executor
 
 	// busy is this lane's total unit time: thread CPU time where the host
 	// exposes it (Linux), per-unit wall time elsewhere. CPU billing keeps

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cilk"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/specgen"
 	"repro/internal/spplus"
@@ -238,8 +239,12 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 	}
 	leaf := n.Group
 	leafSpec := s.specAt(s.trie.Groups[leaf][0])
-	name := sched.Format(leafSpec)
-	span := s.opts.Trace.StartTID(w.id+1, "spec:"+name)
+	// Span methods accept nil, but formatting the name and boxing the
+	// args would still cost every unit of an untraced sweep.
+	var span *obs.Span
+	if s.opts.Trace != nil {
+		span = s.opts.Trace.StartTID(w.id+1, "spec:"+sched.Format(leafSpec))
+	}
 
 	det := w.detPool.Get().(*spplus.Detector)
 	det.Reset()
@@ -317,7 +322,7 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 		hooks = newGuard(hooks, s.opts.EventBudget, s.clock.deadline())
 	}
 
-	cilk.Run(s.factory(), cilk.Config{Spec: spec, Hooks: hooks})
+	w.ex.Run(s.factory(), cilk.Config{Spec: spec, Hooks: hooks})
 
 	res := runVerdict{
 		races: append([]core.Race(nil), det.Report().Races()...),
@@ -328,9 +333,11 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 	}
 	s.results[leaf] = res
 	unitRaces = det.Report().Distinct()
-	span.Arg("races", unitRaces).
-		Arg("skipped", gate.Skipped()).
-		Arg("seed", t.seedSeq).End()
+	if span != nil {
+		span.Arg("races", unitRaces).
+			Arg("skipped", gate.Skipped()).
+			Arg("seed", t.seedSeq).End()
+	}
 }
 
 // measureProbes profiles one program instance and records its continuation
