@@ -40,7 +40,11 @@ var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/report_
 //   - the report.FromCoverage document of a 1-worker §7 sweep of every
 //     benchmark at small scale and of ReducerBench(40);
 //   - Peer-Set, SP-bags and SP+ on malformed streams in which a child
-//     returns with no Sync after its own spawn (see malformedProg).
+//     returns with no Sync after its own spawn (see malformedProg);
+//   - the all-detectors report.Multi document: report.FromDetectors over
+//     a recorded replay of every corpus entry at the two canonical
+//     schedules, and report.FromAllOutcome of a live all-detectors run of
+//     every benchmark at small scale.
 //
 // The file is an external test package because internal/report imports
 // rader.
@@ -117,6 +121,41 @@ func reportDigestRuns(t *testing.T) []string {
 				add(name, doc, err)
 			}
 		}
+	}
+	for _, e := range corpus.All() {
+		for _, s := range []struct {
+			name string
+			spec cilk.StealSpec
+		}{{"nosteals", cilk.NoSteals{}}, {"stealall", cilk.StealAll{}}} {
+			name := fmt.Sprintf("multi/corpus/%s/%s", e.Name, s.name)
+			var buf bytes.Buffer
+			tw := trace.NewWriter(&buf)
+			cilk.Run(e.Build(mem.NewAllocator()), cilk.Config{Spec: s.spec, Hooks: tw})
+			if err := tw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dets := rader.NewAllDetectors()
+			hooks := make([]cilk.Hooks, len(dets))
+			for i, d := range dets {
+				hooks[i] = d
+			}
+			n, err := trace.ReplayAllBytes(buf.Bytes(), hooks...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			doc, err := report.FromDetectors("", n, dets).Marshal()
+			add(name, doc, err)
+		}
+	}
+	for _, app := range apps.All() {
+		k := specgen.Measure(app.Build(mem.NewAllocator(), apps.Small).Prog).MaxSyncBlock
+		spec := sched.ByDepth{D: max(1, k/2)}
+		out, err := rader.Run(app.Build(mem.NewAllocator(), apps.Small).Prog, rader.Config{Detector: rader.All, Spec: spec})
+		if err != nil {
+			t.Fatalf("multi/apps/%s: %v", app.Name, err)
+		}
+		doc, err := report.FromAllOutcome(out, sched.Format(spec)).Marshal()
+		add(fmt.Sprintf("multi/apps/%s/bydepth%d", app.Name, spec.D), doc, err)
 	}
 	return lines
 }
