@@ -212,7 +212,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *coverage {
-		return runCoverage(stdout, prog, rader.SweepOptions{
+		// Every sweep unit runs a fresh instance: a program such as pbfs
+		// keeps state between runs, so re-running one instance would make
+		// later units diverge from the probe run.
+		factory := func() func(*cilk.Ctx) {
+			p, _, _, _ := buildProgram(*progName, *scale, *reads) // validated above
+			return p
+		}
+		return runCoverage(stdout, factory, rader.SweepOptions{
 			Workers:     *sweepW,
 			SampleSpecs: *sweepN,
 			Timeout:     *timeout,
@@ -322,11 +329,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exitClean
 }
 
-func runCoverage(stdout io.Writer, prog func(*cilk.Ctx), opts rader.SweepOptions, jsonOut bool) int {
+func runCoverage(stdout io.Writer, factory func() func(*cilk.Ctx), opts rader.SweepOptions, jsonOut bool) int {
 	if opts.Workers < 1 {
 		opts.Workers = runtime.NumCPU()
 	}
-	cr := rader.Sweep(func() func(*cilk.Ctx) { return prog }, opts)
+	cr := rader.Sweep(factory, opts)
 	if jsonOut {
 		b, err := report.FromCoverage(cr).Marshal()
 		if err != nil {

@@ -47,6 +47,26 @@ func TestExitCodeCoverage(t *testing.T) {
 	}
 }
 
+// pbfs keeps state between runs, so a coverage sweep must run a fresh
+// instance per unit: the document is then complete and the same at any
+// worker count.
+func TestCoverageFreshInstancePerUnit(t *testing.T) {
+	var docs []string
+	for _, w := range []string{"1", "4"} {
+		code, out, _ := exec(t, "-prog", "pbfs", "-scale", "test", "-coverage", "-json", "-sweep-workers", w)
+		if code != exitRaces {
+			t.Fatalf("pbfs coverage at %s workers: exit %d, want %d\n%.500s", w, code, exitRaces, out)
+		}
+		if strings.Contains(out, "diverged") {
+			t.Fatalf("pbfs coverage at %s workers reports diverged probes:\n%.500s", w, out)
+		}
+		docs = append(docs, out)
+	}
+	if docs[0] != docs[1] {
+		t.Fatal("pbfs coverage documents differ between 1 and 4 workers")
+	}
+}
+
 func TestExitCodeUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-definitely-not-a-flag"},

@@ -84,7 +84,8 @@ func TestBackoffClampsRetryAfter(t *testing.T) {
 // the user seeing the shed.
 func TestRetryAfter429Shed(t *testing.T) {
 	var calls atomic.Int64
-	ar, _ := json.Marshal(service.AnalyzeResponse{Digest: "d", Detector: "sp+", Clean: true, Report: []byte(`{}`)})
+	ar, _ := json.Marshal(service.AnalyzeResponse{
+		AnalyzeHeader: service.AnalyzeHeader{Digest: "d", Detector: "sp+", Clean: true}, Report: []byte(`{}`)})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "2")
@@ -115,7 +116,8 @@ func TestRetryAfter429Shed(t *testing.T) {
 // underneath the client.
 func TestRetryAfter503Draining(t *testing.T) {
 	var calls atomic.Int64
-	ar, _ := json.Marshal(service.AnalyzeResponse{Digest: "d", Detector: "sp+", Clean: true, Report: []byte(`{}`)})
+	ar, _ := json.Marshal(service.AnalyzeResponse{
+		AnalyzeHeader: service.AnalyzeHeader{Digest: "d", Detector: "sp+", Clean: true}, Report: []byte(`{}`)})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "1")
@@ -175,13 +177,14 @@ func cutConn(w http.ResponseWriter) {
 // a sweep job survives it.
 func TestMidResponseCutRetriedForGET(t *testing.T) {
 	var polls atomic.Int64
-	done, _ := json.Marshal(service.SweepResponse{ID: "sweep-1", Program: "fig1", State: "done",
-		Sweep: []byte(`{"schema":3,"clean":true,"complete":true,"specsRun":1}`)})
+	done, _ := json.Marshal(service.SweepResponse{
+		SweepHeader: service.SweepHeader{ID: "sweep-1", Program: "fig1", State: "done"},
+		Sweep:       []byte(`{"schema":3,"clean":true,"complete":true,"specsRun":1}`)})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.Method == http.MethodPost:
 			w.WriteHeader(http.StatusAccepted)
-			sub, _ := json.Marshal(service.SweepResponse{ID: "sweep-1", Program: "fig1", State: "queued"})
+			sub, _ := json.Marshal(service.SweepResponse{SweepHeader: service.SweepHeader{ID: "sweep-1", Program: "fig1", State: "queued"}})
 			w.Write(sub)
 		case polls.Add(1) == 1:
 			cutConn(w) // first poll dies mid-body

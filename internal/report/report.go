@@ -17,8 +17,10 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/depa"
@@ -212,8 +214,54 @@ type Multi struct {
 	Clean    bool      `json:"clean"`
 }
 
-// Marshal renders the document deterministically.
-func (m *Multi) Marshal() ([]byte, error) { return json.Marshal(m) }
+// Marshal renders the document deterministically; it is MarshalParts'
+// document, so the CLI and the service share one encoding.
+func (m *Multi) Marshal() ([]byte, error) {
+	doc, _, err := m.MarshalParts()
+	return doc, err
+}
+
+// MarshalParts encodes every sub-report once and assembles the document
+// from those bytes: doc equals json.Marshal(m) and subs[i] equals
+// m.Reports[i].Marshal(). A caller that needs both the merged document
+// and each detector's own document (the service's fan-out cache) gets
+// them without encoding any report twice.
+func (m *Multi) MarshalParts() (doc []byte, subs [][]byte, err error) {
+	subs = make([][]byte, len(m.Reports))
+	size := 0
+	for i, r := range m.Reports {
+		if subs[i], err = r.Marshal(); err != nil {
+			return nil, nil, err
+		}
+		size += len(subs[i]) + 1
+	}
+	// The header is the document with a nil Reports field: its encoding
+	// ends in `null,"clean":<bool>}`, and the sub-report array takes the
+	// place of that null.
+	shell := *m
+	shell.Reports = nil
+	head, err := json.Marshal(&shell)
+	if err != nil || m.Reports == nil {
+		return head, subs, err
+	}
+	tail := `,"clean":` + strconv.FormatBool(m.Clean) + "}"
+	if !bytes.HasSuffix(head, []byte("null"+tail)) {
+		return nil, nil, fmt.Errorf("report: unexpected Multi header encoding %q", head)
+	}
+	head = head[:len(head)-len("null"+tail)]
+	doc = make([]byte, 0, len(head)+size+1+len(tail))
+	doc = append(doc, head...)
+	doc = append(doc, '[')
+	for i, sub := range subs {
+		if i > 0 {
+			doc = append(doc, ',')
+		}
+		doc = append(doc, sub...)
+	}
+	doc = append(doc, ']')
+	doc = append(doc, tail...)
+	return doc, subs, nil
+}
 
 // FromDetectors builds a Multi from detectors that consumed one replayed
 // (or live) event stream, e.g. via trace.ReplayAll. spec and events label

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -169,5 +170,74 @@ func TestMarshalDeterministic(t *testing.T) {
 	b, _ := doc.Marshal()
 	if !bytes.Equal(a, b) {
 		t.Fatal("marshaling is not deterministic")
+	}
+}
+
+// MarshalParts must reproduce encoding/json's rendering of the whole
+// document and of each sub-report exactly, including the escapes
+// encoding/json applies to HTML-significant characters, U+2028/U+2029 and
+// invalid UTF-8 inside labels and paths.
+func TestMarshalPartsMatchesEncodingJSON(t *testing.T) {
+	odd := &core.Report{}
+	odd.Add(core.Race{
+		Kind:    core.ViewRead,
+		Reducer: "sum<&>\u2028",
+		First:   core.Access{Frame: 2, Label: "a<b>&c", Path: "main>a<b>", Op: core.OpReducerRead},
+		Second:  core.Access{Frame: 1, Label: "line\u2028sep\u2029", Path: "bad\xff\xfeutf8", Op: core.OpReducerRead},
+		Prov:    core.Provenance{FirstEvent: 1, SecondEvent: 2, Relation: "</script>&amp;"},
+	})
+	odd.Add(core.Race{
+		Kind:   core.Determinacy,
+		Addr:   7,
+		First:  core.Access{Frame: 3, Label: "\xc0\x80", Op: core.OpWrite},
+		Second: core.Access{Frame: 4, Label: "q\"uote\\", Op: core.OpRead, ViewAware: true, ViewOp: cilk.OpUpdate, VID: 2},
+	})
+	withParallel := FromCore("depa", "s<&>\u2028", 5, odd)
+	withParallel.Parallel = ParallelFrom(depa.ParallelStats{Workers: 3, ShardMerges: 1, FastPathHits: 1, Accesses: 3})
+	docs := map[string]*Multi{
+		"nil reports":   {Schema: Schema, Detector: "all"},
+		"empty reports": {Schema: Schema, Detector: "all", Reports: []*Report{}, Clean: true},
+		"odd strings": {Schema: Schema, Detector: "all", Spec: "steal<&>\u2028\xff", Events: 42, Reports: []*Report{
+			FromCore("peer-set", "steal<&>\u2028\xff", 42, odd),
+			FromCore("sp-bags", "steal<&>\u2028\xff", 42, &core.Report{}),
+			withParallel,
+		}},
+		"fixed outcome": FromAllOutcome(&rader.Outcome{All: []rader.DetectorOutcome{
+			{Detector: rader.PeerSet, Report: fixedReport()},
+			{Detector: rader.SPPlus, Report: &core.Report{}},
+		}}, "all"),
+	}
+	for _, e := range corpus.All() {
+		dets := rader.NewAllDetectors()
+		hooks := make([]cilk.Hooks, len(dets))
+		for i, d := range dets {
+			hooks[i] = d
+		}
+		cilk.Run(e.Build(mem.NewAllocator()), cilk.Config{Spec: cilk.StealAll{}, Hooks: cilk.MultiHooks(hooks...)})
+		docs["corpus "+e.Name] = FromDetectors("", 0, dets)
+	}
+	for name, m := range docs {
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, subs, err := m.MarshalParts()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(doc, want) {
+			t.Errorf("%s: document\n got  %s\n want %s", name, doc, want)
+		}
+		if viaMarshal, _ := m.Marshal(); !bytes.Equal(viaMarshal, want) {
+			t.Errorf("%s: Marshal does not return the MarshalParts document", name)
+		}
+		if len(subs) != len(m.Reports) {
+			t.Fatalf("%s: %d sub-documents for %d reports", name, len(subs), len(m.Reports))
+		}
+		for i, r := range m.Reports {
+			if wantSub, _ := r.Marshal(); !bytes.Equal(subs[i], wantSub) {
+				t.Errorf("%s: sub-document %d\n got  %s\n want %s", name, i, subs[i], wantSub)
+			}
+		}
 	}
 }

@@ -10,6 +10,16 @@ import (
 // internal/report verdict document, kept as raw bytes so a client can
 // re-emit it byte-for-byte identical to a local rader -json run.
 type AnalyzeResponse struct {
+	AnalyzeHeader
+	// Report is the verdict document (report.Report, or report.Multi for
+	// detector=all). The server writes it verbatim after the header
+	// fields (see writeEnvelope).
+	Report json.RawMessage `json:"report"`
+}
+
+// AnalyzeHeader is the part of the /analyze envelope that precedes the
+// verdict document.
+type AnalyzeHeader struct {
 	// Digest is the SHA-256 content identity the result is cached under
 	// (trace bytes for uploads, program identity for named programs).
 	Digest string `json:"digest"`
@@ -22,22 +32,27 @@ type AnalyzeResponse struct {
 	DurationMS float64 `json:"durationMs"`
 	// Clean mirrors report.clean for quick exit-code decisions.
 	Clean bool `json:"clean"`
-	// Report is the verdict document (report.Report).
-	Report json.RawMessage `json:"report"`
 }
 
 // SweepResponse is the envelope of POST /sweep and GET /sweep/{id}.
 type SweepResponse struct {
+	SweepHeader
+	// Sweep is the verdict document (report.Sweep) once State is done,
+	// written verbatim by the server.
+	Sweep json.RawMessage `json:"sweep,omitempty"`
+	// Progress is the job's live monotone progress, once any has been
+	// reported (absent before the sweep announces its unit count).
+	Progress *obs.ProgressSnapshot `json:"progress,omitempty"`
+}
+
+// SweepHeader is the part of the sweep envelope that precedes the
+// verdict document.
+type SweepHeader struct {
 	ID      string `json:"id"`
 	Program string `json:"program"`
 	// State is queued, running, done, or failed.
 	State string `json:"state"`
 	Error string `json:"error,omitempty"`
-	// Sweep is the verdict document (report.Sweep) once State is done.
-	Sweep json.RawMessage `json:"sweep,omitempty"`
-	// Progress is the job's live monotone progress, once any has been
-	// reported (absent before the sweep announces its unit count).
-	Progress *obs.ProgressSnapshot `json:"progress,omitempty"`
 }
 
 // JobEvent is one progress event of GET /jobs/{id}/events: the SSE

@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"encoding/json"
 	"sync"
 )
 
@@ -11,7 +10,7 @@ import (
 // stored, so concurrent readers share them without copying.
 type cached struct {
 	digest string
-	report json.RawMessage
+	report []byte
 	clean  bool
 }
 

@@ -35,7 +35,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	switch sub {
 	case "":
-		writeJSON(w, http.StatusOK, job.view())
+		writeJobView(w, http.StatusOK, job)
 	case "trace":
 		s.handleJobTrace(w, r, job)
 	case "events":

@@ -26,7 +26,7 @@ type sweepJob struct {
 	prog     string
 	state    string
 	err      string
-	sweep    json.RawMessage // verdict document once done
+	sweep    []byte // verdict document once done
 	created  time.Time
 	finished time.Time
 
@@ -50,7 +50,7 @@ func (j *sweepJob) set(state string) {
 	j.progress.Bump()
 }
 
-func (j *sweepJob) finish(sweep json.RawMessage, err error) {
+func (j *sweepJob) finish(sweep []byte, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	if err != nil {
@@ -107,7 +107,10 @@ func (j *sweepJob) view() SweepResponse {
 	snap, _, _ := j.progress.Load()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	resp := SweepResponse{ID: j.id, Program: j.prog, State: j.state, Error: j.err, Sweep: j.sweep}
+	resp := SweepResponse{
+		SweepHeader: SweepHeader{ID: j.id, Program: j.prog, State: j.state, Error: j.err},
+		Sweep:       j.sweep,
+	}
 	if snap != (obs.ProgressSnapshot{}) {
 		s := snap
 		resp.Progress = &s

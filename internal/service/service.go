@@ -49,6 +49,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -282,7 +283,7 @@ func (s *Server) requeueRecovered(pending []store.JobRecord) {
 		s.recovered.Add(1)
 		job := s.jobs.add(jr.Prog)
 		job.setSpansKey(sweepKey(programDigest(identity), jr.Sample))
-		log.Info("re-enqueued recovered sweep job", "job", job.view().ID)
+		log.Info("re-enqueued recovered sweep job", "job", job.id)
 		// A recovered job has no client request to inherit a traceparent
 		// from; it roots a fresh trace. It re-runs at the configured
 		// scheduler width — workers never change the verdict.
@@ -371,6 +372,57 @@ func writeErr(w http.ResponseWriter, status int, format string, a ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, a...)})
 }
 
+// member is one pre-encoded field of a response envelope; writeEnvelope
+// omits it when raw is empty.
+type member struct {
+	key string
+	raw []byte
+}
+
+// writeEnvelope writes a response envelope: head's JSON object with each
+// member appended as "key":raw before the closing brace, then
+// json.Encoder's trailing newline. The output equals json.Encoder's
+// encoding of the whole envelope with the members as json.RawMessage
+// fields, because every member is already in encoding/json's compact,
+// HTML-escaped form: verdict documents are encoded by this server and
+// validated when rehydrated from the store. Writing them verbatim skips
+// the per-response validation and re-compaction of a document that can
+// run to megabytes.
+func writeEnvelope(w http.ResponseWriter, status int, head any, members ...member) {
+	b, err := json.Marshal(head)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	b = b[:len(b)-1] // reopen the object
+	sep := len(b) > 1
+	for _, m := range members {
+		if len(m.raw) == 0 {
+			continue
+		}
+		if sep {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, '"'), m.key...), '"', ':')
+		_, _ = w.Write(b)
+		_, _ = w.Write(m.raw)
+		b, sep = b[:0], true
+	}
+	_, _ = w.Write(append(b, '}', '\n'))
+}
+
+// writeJobView writes a sweep job's poll response.
+func writeJobView(w http.ResponseWriter, status int, job *sweepJob) {
+	v := job.view()
+	var progress []byte
+	if v.Progress != nil {
+		progress, _ = json.Marshal(v.Progress) // plain integers: cannot fail
+	}
+	writeEnvelope(w, status, v.SweepHeader, member{"sweep", v.Sweep}, member{"progress", progress})
+}
+
 // analyzeUnit is one fully-resolved analysis request: either an uploaded
 // trace replay or a live run of a named program. run records its phases
 // on the per-request server trace it is handed (nil-safe throughout, per
@@ -387,14 +439,13 @@ func (u *analyzeUnit) key() string {
 	return u.digest + "|" + string(u.detector) + "|" + u.specStr
 }
 
-// analysisResult is one successful analysis: the document to return and,
-// for an all-detectors pass, the per-detector sub-documents to seed into
-// the cache under their own digest|detector|spec keys.
+// analysisResult is one successful analysis: the document to return. An
+// all-detectors pass returns a *report.Multi, whose sub-reports are also
+// seeded into the cache under their own digest|detector|spec keys.
 type analysisResult struct {
 	doc    interface{ Marshal() ([]byte, error) }
 	clean  bool
 	events int64
-	subs   []subResult
 	// parallel is the depa detector's machinery stats, nil for every
 	// serial detector; it feeds the raderd_depa_* series.
 	parallel *report.Parallel
@@ -404,25 +455,6 @@ type analysisResult struct {
 	// the raderd_elide_* series.
 	elidedEvents int64
 	elidedBytes  int64
-}
-
-// subResult is one detector's verdict extracted from an all-mode pass.
-// The document is built by report.FromCore exactly as a standalone
-// request for that detector would build it, so the seeded cache entry is
-// byte-identical to what the single-detector path computes.
-type subResult struct {
-	detector rader.DetectorName
-	doc      *report.Report
-}
-
-// subsFromMulti pairs each sub-report of a Multi document with its
-// detector name for cache seeding.
-func subsFromMulti(m *report.Multi) []subResult {
-	subs := make([]subResult, len(m.Reports))
-	for i, rep := range m.Reports {
-		subs[i] = subResult{detector: rader.DetectorName(rep.Detector), doc: rep}
-	}
-	return subs
 }
 
 // resolveAnalyze parses an /analyze request into a unit without running
@@ -479,7 +511,7 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 				}
 				if det == rader.All {
 					m := report.FromAllOutcome(out, canon)
-					return &analysisResult{doc: m, clean: m.Clean, subs: subsFromMulti(m)}, nil
+					return &analysisResult{doc: m, clean: m.Clean}, nil
 				}
 				rep := report.FromOutcome(out, canon)
 				return &analysisResult{doc: rep, clean: rep.Clean, parallel: rep.Parallel}, nil
@@ -511,11 +543,14 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 		}
 	}
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	data, err := io.ReadAll(body)
-	if err != nil {
+	data, err := readUpload(w, r, s.cfg.MaxUploadBytes)
+	if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
 		writeErr(w, http.StatusRequestEntityTooLarge,
 			"reading upload (limit %d bytes): %v", s.cfg.MaxUploadBytes, err)
+		return nil
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "reading upload: %v", err)
 		return nil
 	}
 	if len(data) == 0 {
@@ -532,6 +567,20 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 			return analyzeTraceBytes(data, det, elideOn, tr)
 		},
 	}
+}
+
+// readUpload reads a request body of at most limit bytes. A declared
+// Content-Length within the limit is read into a buffer of exactly that
+// size; otherwise the body is read to EOF behind http.MaxBytesReader, whose
+// *http.MaxBytesError reports a body over the limit. A body that ends
+// before its declared length fails with io.ErrUnexpectedEOF.
+func readUpload(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if n := r.ContentLength; n > 0 && n <= limit {
+		data := make([]byte, n)
+		_, err := io.ReadFull(r.Body, data)
+		return data, err
+	}
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 }
 
 // analyzeTraceBytes replays an in-memory trace into the requested
@@ -573,7 +622,7 @@ func analyzeTraceBytes(data []byte, det rader.DetectorName, elideOn bool, tr *ob
 		if plan != nil {
 			plan.FixupMulti(m)
 		}
-		res.doc, res.clean, res.events, res.subs = m, m.Clean, events, subsFromMulti(m)
+		res.doc, res.clean, res.events = m, m.Clean, events
 		return res, nil
 	}
 	d, hooks, err := rader.NewDetector(det)
@@ -612,6 +661,13 @@ func (s *Server) storeLookup(key string) *cached {
 	}
 	rec, ok, err := s.store.GetVerdict(key)
 	if err != nil || !ok {
+		return nil
+	}
+	// Responses write the document verbatim, so it is checked once here;
+	// a record whose CRC holds but whose document does not parse (written
+	// by a faulty build, say) is recomputed rather than served.
+	if !json.Valid(rec.Report) {
+		s.log.Warn("stored verdict is not valid JSON; recomputing", "key", key)
 		return nil
 	}
 	entry := &cached{digest: rec.Digest, report: rec.Report, clean: rec.Clean}
@@ -660,14 +716,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.metrics.hit()
 		log.Info("analyze served from cache", "clean", hit.clean,
 			"cacheHit", true, "elide", unit.elide)
-		writeJSON(w, http.StatusOK, AnalyzeResponse{
+		writeEnvelope(w, http.StatusOK, AnalyzeHeader{
 			Digest:   hit.digest,
 			Detector: string(unit.detector),
 			Spec:     unit.specStr,
 			Cached:   true,
 			Clean:    hit.clean,
-			Report:   hit.report,
-		})
+		}, member{"report", hit.report})
 		return
 	}
 	s.metrics.miss()
@@ -713,9 +768,18 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, "analysis failed: %v", err)
 		return
 	}
+	// An all-detectors document is assembled from its sub-reports'
+	// encodings, which also seed the per-detector cache entries below.
 	encodeStart := time.Now()
 	espan := tr.Start("encode")
-	raw, err := res.doc.Marshal()
+	var raw []byte
+	var subs [][]byte
+	multi, _ := res.doc.(*report.Multi)
+	if multi != nil {
+		raw, subs, err = multi.MarshalParts()
+	} else {
+		raw, err = res.doc.Marshal()
+	}
 	espan.End()
 	s.metrics.observePhase(phaseEncode, time.Since(encodeStart))
 	if err != nil {
@@ -735,25 +799,24 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.storePersist(unit.key(), unit.digest, string(unit.detector), unit.specStr, res.clean, raw, log)
 	// An all-detectors pass also seeds one cache entry per detector, so a
 	// later single-detector request for the same digest and spec is a hit
-	// — one upload, one decode, four cache entries.
-	for _, sub := range res.subs {
-		sraw, err := sub.doc.Marshal()
-		if err != nil {
-			continue
-		}
-		skey := unit.digest + "|" + string(sub.detector) + "|" + unit.specStr
-		s.cache.put(skey, &cached{digest: unit.digest, report: sraw, clean: sub.doc.Clean})
-		s.storePersist(skey, unit.digest, string(sub.detector), unit.specStr, sub.doc.Clean, sraw, log)
+	// — one upload, one decode, four cache entries. Each sub-report is
+	// built by report.FromCore exactly as a standalone request for that
+	// detector would build it, so the seeded entry is byte-identical to
+	// what the single-detector path computes.
+	for i, sraw := range subs {
+		sub := multi.Reports[i]
+		skey := unit.digest + "|" + sub.Detector + "|" + unit.specStr
+		s.cache.put(skey, &cached{digest: unit.digest, report: sraw, clean: sub.Clean})
+		s.storePersist(skey, unit.digest, sub.Detector, unit.specStr, sub.Clean, sraw, log)
 	}
-	writeJSON(w, http.StatusOK, AnalyzeResponse{
+	writeEnvelope(w, http.StatusOK, AnalyzeHeader{
 		Digest:     entry.digest,
 		Detector:   string(unit.detector),
 		Spec:       unit.specStr,
 		Cached:     false,
 		DurationMS: float64(dur) / float64(time.Millisecond),
 		Clean:      entry.clean,
-		Report:     entry.report,
-	})
+	}, member{"report", entry.report})
 }
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
@@ -805,8 +868,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		// by the sweep that computed the verdict.
 		job.setSpansKey(key)
 		job.finish(hit.report, nil)
-		log.Info("sweep served from cache", "job", job.view().ID)
-		writeJSON(w, http.StatusOK, job.view())
+		log.Info("sweep served from cache", "job", job.id)
+		writeJobView(w, http.StatusOK, job)
 		return
 	}
 	s.metrics.miss()
@@ -817,7 +880,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	job := s.jobs.add(name)
 	job.setSpansKey(key)
-	log = log.With("job", job.view().ID)
+	log = log.With("job", job.id)
 	// The job's trace is rooted now, under the submitting client's
 	// traceparent when one arrived — the sweep runs after this request
 	// returns 202, but its spans still join the client's trace.
@@ -826,7 +889,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	// dies between the 202 and the verdict, the next start re-enqueues it.
 	// The journal ID carries this boot's nonce so the sweep-N table IDs,
 	// which restart from 1 every boot, never collide across incarnations.
-	jr := store.JobRecord{ID: s.bootID + "-" + job.view().ID, Prog: name, Scale: scale, Sample: sample, State: store.JobQueued}
+	jr := store.JobRecord{ID: s.bootID + "-" + job.id, Prog: name, Scale: scale, Sample: sample, State: store.JobQueued}
 	if s.store != nil {
 		if err := s.store.JournalJob(jr); err != nil {
 			log.Error("job journal write failed; job will not survive a crash", "err", err)
@@ -834,7 +897,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	go s.runSweep(job, prog, identity, workers, jr, tr, log)
-	writeJSON(w, http.StatusAccepted, job.view())
+	writeJobView(w, http.StatusAccepted, job)
 }
 
 // sweepKey is the cache/store key of a sweep verdict: the program digest
@@ -963,7 +1026,7 @@ func (s *Server) handleSweepPoll(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no such sweep job %q (finished jobs are retained up to a bound)", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, job.view())
+	writeJobView(w, http.StatusOK, job)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1014,7 +1077,7 @@ func (s *Server) analyzeStored(digest string, det rader.DetectorName, elideOn bo
 			return nil, err
 		}
 		m := report.FromDetectors("", events, dets)
-		return &analysisResult{doc: m, clean: m.Clean, events: events, subs: subsFromMulti(m)}, nil
+		return &analysisResult{doc: m, clean: m.Clean, events: events}, nil
 	}
 	d, hooks, err := rader.NewDetector(det)
 	if err != nil {
